@@ -187,13 +187,17 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
     group = _graph_subgroup(spec, _subfield_basis(spec, spec.r // 2), 1)
     arc = translation_arc(group)
     blocked = _secant_point_set(arc)
+    exp, log = spec.exp, spec.log
+
+    def pair_of(e, bb):
+        return (e, exp[log[bb] + log[exp[2 * log[e]]]])  # (eta, b * eta^2)
 
     def valid(e, bb):
         return (
             e not in half
             and bb in half
             and bb != 1
-            and (e, spec.mul(bb, spec.mul(e, e)), 1) not in blocked
+            and (*pair_of(e, bb), 1) not in blocked
         )
 
     if eta is not None or b is not None:
@@ -202,14 +206,12 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
         spec.check(eta, b)
         if not valid(eta, b):
             raise ArcError(f"(eta={eta}, b={b}) fails the secant-avoidance check")
-        pair = (eta, spec.mul(b, spec.mul(eta, eta)))
-        return translation_arc(extend_double(group, pair)), eta, b
+        return translation_arc(extend_double(group, pair_of(eta, b))), eta, b
 
     for e in spec.elements():
         for bb in sorted(half):
             if valid(e, bb):
-                pair = (e, spec.mul(bb, spec.mul(e, e)))
-                return translation_arc(extend_double(group, pair)), e, bb
+                return translation_arc(extend_double(group, pair_of(e, bb))), e, bb
     return None
 
 
@@ -333,12 +335,12 @@ def normal_form_q_arc(spec: FieldSpec, alpha: int, beta: int, i: int) -> Arc | N
 
 
 def _normal_form_value(spec, alpha, beta, i, x, y):
-    m = spec.mul
+    exp, log = spec.exp, spec.log
     return (
-        m(alpha, x)
-        ^ m(alpha ^ 1, y)
-        ^ m(beta, spec.frob(x, i))
-        ^ m(beta ^ 1, spec.frob(y, i))
+        exp[log[alpha] + log[x]]
+        ^ exp[log[alpha ^ 1] + log[y]]
+        ^ exp[log[beta] + log[spec.frob(x, i)]]
+        ^ exp[log[beta ^ 1] + log[spec.frob(y, i)]]
     )
 
 
@@ -387,17 +389,22 @@ def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:
     exponents = [i for i in range(1, spec.r) if gcd(i, spec.r) == 1]
     if spec.r == 1:
         exponents = [1]
+    exp, log = spec.exp, spec.log
     found: dict[tuple, Arc] = {}
     for i in exponents:
-        frobbed = [(x, y, spec.frob(x, i), spec.frob(y, i)) for x, y in group.elements]
+        # the normal form at each element of G, split into its alpha part
+        # (evaluated once per alpha) and its beta part, all as logs
+        logs = [
+            (log[x], log[y], log[spec.frob(x, i)], log[spec.frob(y, i)])
+            for x, y in group.elements
+        ]
         for alpha in spec.elements():
+            la, la1 = log[alpha], log[alpha ^ 1]
+            alpha_part = [(exp[la + lx] ^ exp[la1 + ly], lxf, lyf) for lx, ly, lxf, lyf in logs]
             for beta in spec.elements():
+                lb, lb1 = log[beta], log[beta ^ 1]
                 if any(
-                    spec.mul(alpha, x)
-                    ^ spec.mul(alpha ^ 1, y)
-                    ^ spec.mul(beta, xf)
-                    ^ spec.mul(beta ^ 1, yf)
-                    for x, y, xf, yf in frobbed
+                    v ^ exp[lb + lxf] ^ exp[lb1 + lyf] for v, lxf, lyf in alpha_part
                 ):
                     continue
                 arc = normal_form_q_arc(spec, alpha, beta, i)
@@ -445,7 +452,7 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
     Points are scanned in lexicographic (a, b) order, so runs are
     reproducible.
     """
-    if r % s != 0 or s >= r or s <= 2:
+    if s <= 2 or s >= r or r % s != 0:
         raise ArcError(f"s = {s} must be a proper divisor of r = {r} with s > 2")
     spec = field_make(r)
     group = _graph_subgroup(spec, _subfield_basis(spec, s), 1)
@@ -566,11 +573,13 @@ def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
     """Orbit is an arc iff the nonzero elements of G have pairwise distinct
     slopes (translating any collinear triple moves one point to the origin)."""
     spec = group.spec
+    exp, log = spec.exp, spec.log
     slopes = set()
     for a, b in group.elements:
         if (a, b) == (0, 0):
             continue
-        key = spec.div(b, a) if a else spec.q  # q stands in for infinity
+        # the slope b / a, with q standing in for infinity
+        key = exp[log[b] + spec.q - 1 - log[a]] if a else spec.q
         if key in slopes:
             return False
         slopes.add(key)
@@ -582,16 +591,14 @@ def enumerate_arc_subgroups(spec: FieldSpec, dims):
     orbit is an arc, yielding basis tuples.
 
     Same slope criterion as is_translation_arc_group, maintained
-    incrementally over cached tables so full sweeps of many thousands of
-    subspaces stay fast; aborts a subspace at the first repeated slope.
+    incrementally so full sweeps of many thousands of subspaces stay fast;
+    aborts a subspace at the first repeated slope.
     """
-    from hyperarcs.gf2 import inv_table, mul_table
-
     if spec.r > 8:
         raise ArcError("exhaustive sweeps are supported for r <= 8")
-    mt = mul_table(spec)
-    it = inv_table(spec)
+    exp, log = spec.exp, spec.log
     infinity = spec.q  # sentinel slope for vertical directions
+    shift = spec.q - 1
     for dim in dims:
         for basis in enumerate_subgroups(spec, dim):
             elems = [(0, 0)]
@@ -600,7 +607,7 @@ def enumerate_arc_subgroups(spec: FieldSpec, dims):
             for va, vb in basis:
                 fresh = [(x ^ va, y ^ vb) for x, y in elems]
                 for u, v in fresh:
-                    s = mt[v][it[u]] if u else infinity
+                    s = exp[log[v] + shift - log[u]] if u else infinity
                     if s in slopes:
                         ok = False
                         break

@@ -337,63 +337,35 @@ def arc_canonical_form(arc: Arc) -> tuple:
     sorted image over all maps sending an ordered 4-subset of the arc to
     the standard frame.  Equal forms mean projectively equivalent arcs.
 
-    Any 4 arc points are in general position, so no frame is degenerate;
-    that allows a division-free inner loop (Cramer solves and adjugates,
-    with projective scale factors dropped)."""
+    Any 4 arc points are in general position, so every ordered 4-subset is
+    a frame for pp._to_standard_frame, and it maps onto the standard frame
+    itself; only the other points' images are computed."""
     spec = arc.spec
     if len(arc) < 4:
         raise ArcError("canonical form needs at least four points")
-    mul = spec.mul
-    inv = spec.inv
+    exp, log = spec.exp, spec.log
+    shift = spec.q - 1
     pts = arc.points
-
-    def det(p, q, s):
-        return (
-            mul(p[0], mul(q[1], s[2])) ^ mul(p[0], mul(q[2], s[1]))
-            ^ mul(p[1], mul(q[0], s[2])) ^ mul(p[1], mul(q[2], s[0]))
-            ^ mul(p[2], mul(q[0], s[1])) ^ mul(p[2], mul(q[1], s[0]))
-        )
+    point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
 
     best = None
-    for p1, p2, p3, p4 in permutations(pts, 4):
-        # columns of the map standard-basis -> frame, Cramer without the
-        # common denominator (a global scale is projectively irrelevant)
-        c1 = det(p4, p2, p3)
-        c2 = det(p1, p4, p3)
-        c3 = det(p1, p2, p4)
-        a = (mul(c1, p1[0]), mul(c1, p1[1]), mul(c1, p1[2]))
-        b = (mul(c2, p2[0]), mul(c2, p2[1]), mul(c2, p2[2]))
-        c = (mul(c3, p3[0]), mul(c3, p3[1]), mul(c3, p3[2]))
-        # adjugate of the column matrix [a b c]: rows of the inverse map
-        adj = (
-            (mul(b[1], c[2]) ^ mul(b[2], c[1]),
-             mul(b[2], c[0]) ^ mul(b[0], c[2]),
-             mul(b[0], c[1]) ^ mul(b[1], c[0])),
-            (mul(a[2], c[1]) ^ mul(a[1], c[2]),
-             mul(a[0], c[2]) ^ mul(a[2], c[0]),
-             mul(a[1], c[0]) ^ mul(a[0], c[1])),
-            (mul(a[1], b[2]) ^ mul(a[2], b[1]),
-             mul(a[2], b[0]) ^ mul(a[0], b[2]),
-             mul(a[0], b[1]) ^ mul(a[1], b[0])),
+    for frame in permutations(range(len(pts)), 4):
+        rows = pp._to_standard_frame(spec, *(pts[i] for i in frame))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+            (log[m[0]], log[m[1]], log[m[2]]) for m in rows
         )
-        # left-multiplying by the standard-frame basis matrix just rewires
-        # rows: (row2, row1, row0 + row1 + row2)
-        m0, m1, m2 = adj[2], adj[1], (
-            adj[0][0] ^ adj[1][0] ^ adj[2][0],
-            adj[0][1] ^ adj[1][1] ^ adj[2][1],
-            adj[0][2] ^ adj[1][2] ^ adj[2][2],
-        )
-        image = []
-        for p in pts:
-            x = mul(m0[0], p[0]) ^ mul(m0[1], p[1]) ^ mul(m0[2], p[2])
-            y = mul(m1[0], p[0]) ^ mul(m1[1], p[1]) ^ mul(m1[2], p[2])
-            z = mul(m2[0], p[0]) ^ mul(m2[1], p[1]) ^ mul(m2[2], p[2])
+        image = list(pp.STANDARD_FRAME)
+        for j, (l0, l1, l2) in enumerate(point_logs):
+            if j in frame:
+                continue
+            x = exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]
+            y = exp[b0 + l0] ^ exp[b1 + l1] ^ exp[b2 + l2]
+            z = exp[c0 + l0] ^ exp[c1 + l1] ^ exp[c2 + l2]
             if z:
-                s = inv(z)
-                image.append((mul(x, s), mul(y, s), 1))
+                s = shift - log[z]
+                image.append((exp[log[x] + s], exp[log[y] + s], 1))
             elif y:
-                s = inv(y)
-                image.append((mul(x, s), 1, 0))
+                image.append((exp[log[x] + shift - log[y]], 1, 0))
             else:
                 image.append((1, 0, 0))
         image.sort()

@@ -82,16 +82,18 @@ class RunReport:
 
 def _parse_field_value(text: str) -> int:
     text = text.strip()
-    return int(text, 16) if text.lower().startswith("0x") else int(text)
+    try:
+        return int(text, 16) if text.lower().startswith("0x") else int(text)
+    except ValueError:
+        raise UsageError(f"{text!r} is not a field value") from None
 
 
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "q", None) is not None:
         q = args.q
-        r = q.bit_length() - 1
-        if q != 1 << r:
+        if q < 1 or q & (q - 1):
             raise UsageError(f"q = {q} is not a power of two")
-        return field_make(r, args.poly)
+        return field_make(q.bit_length() - 1, args.poly)
     if getattr(args, "r", None) is None:
         raise UsageError("a field is required: give --r (or --q)")
     return field_make(args.r, args.poly)
@@ -99,6 +101,18 @@ def _field_from_args(args) -> FieldSpec:
 
 def _parse_basis(text: str) -> list[int]:
     return [_parse_field_value(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _save_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_json(path: str) -> dict:
@@ -151,8 +165,7 @@ def _cmd_arc_build(args, report: RunReport) -> int:
     report.results["size"] = len(arc)
     report.verdicts["is_arc"] = True
     if args.save:
-        with open(args.save, "w") as fh:
-            json.dump(arc.to_json(), fh, indent=2, sort_keys=True)
+        _save_json(args.save, arc.to_json())
     return 0
 
 
@@ -177,8 +190,7 @@ def _cmd_arc_complete(args, report: RunReport) -> int:
         and rep.subplane_verdict == "NOT_CONTAINED"
     )
     if args.save:
-        with open(args.save, "w") as fh:
-            json.dump(rep.arc.to_json(), fh, indent=2, sort_keys=True)
+        _save_json(args.save, rep.arc.to_json())
     return 0 if ok else 1
 
 
@@ -258,8 +270,7 @@ def _cmd_onefact_enumerate(args, report: RunReport) -> int:
     report.inputs["n"] = args.n
     report.results["classes"] = len(facts)
     if args.catalog_out:
-        with open(args.catalog_out, "w") as fh:
-            fh.write(format_catalog(facts))
+        _write_text(args.catalog_out, format_catalog(facts))
         report.results["catalog"] = args.catalog_out
     report.verdicts["enumerated"] = True
     return 0
@@ -436,8 +447,7 @@ def _emit(report: RunReport, args) -> None:
     else:
         text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 

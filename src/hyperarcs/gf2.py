@@ -5,12 +5,25 @@ polynomial basis (bit k = coefficient of X^k).  All operations live on
 FieldSpec and take element values explicitly; elements carry no back-reference
 to their field.  A value outside [0, 2^r) is treated as a mixed-field mistake
 and rejected.
+
+Every field multiplies through one pair of log/antilog tables (Plank, "A
+tutorial on Reed-Solomon coding", 1997; Greenan, Miller & Schwarz,
+"Optimizing Galois field arithmetic", 2008), built once per (r, poly) and
+shared by every FieldSpec with that key.  With g a generator of the unit
+group, ``exp[k] = g^k`` and ``log[g^k] = k``; ``log[0]`` is the sentinel
+``2(q - 1)``, past every sum of two unit logs, and ``exp`` is zero from there
+on.  So for any a, b and any nonzero c, with no branch on zero:
+
+    a * b == exp[log[a] + log[b]]
+    a / c == exp[log[a] + q - 1 - log[c]]
+
+The public FieldSpec methods check their operands; library code that has
+already validated its inputs indexes ``spec.exp`` and ``spec.log`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 
 class FieldError(ValueError):
@@ -80,26 +93,68 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
+def _build_tables(r: int, poly: int) -> tuple[list[int], list[int]]:
+    """(exp, log) for GF(2^r) mod poly, laid out as the module docstring says.
+
+    The generator is searched for, not assumed: X itself has order 51, not
+    255, under the default r = 8 polynomial."""
+    units = (1 << r) - 1
+    for gen in range(1, units + 1):
+        powers = [1]
+        x = gen
+        while x != 1:
+            powers.append(x)
+            x = _raw_mul(x, gen, r, poly)
+        if len(powers) == units:
+            break
+    zero_log = 2 * units
+    log = [zero_log] * (units + 1)
+    for k, v in enumerate(powers):
+        log[v] = k
+    return powers + powers + [0] * (2 * zero_log + 1 - 2 * units), log
+
+
+# (r, poly) -> (exp, log), filled once per irreducible polynomial in use
+_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+
+
+def _check_int(what: str, v) -> None:
+    # bool is an int subclass, but True is no degree or polynomial
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FieldError(f"{what} {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^r) described by its degree and reduction polynomial."""
+    """GF(2^r) described by its degree and reduction polynomial.
+
+    ``q`` is 2^r and ``exp``/``log`` are the shared tables; equality, hashing
+    and repr depend on (r, poly) only."""
 
     r: int
     poly: int
+    q: int = field(init=False, compare=False, repr=False)
+    exp: list[int] = field(init=False, compare=False, repr=False)
+    log: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_int("degree", self.r)
+        _check_int("polynomial", self.poly)
         if not 1 <= self.r <= MAX_DEGREE:
             raise FieldError(f"degree {self.r} out of range 1..{MAX_DEGREE}")
         if _poly_degree(self.poly) != self.r:
             raise FieldError(
                 f"polynomial 0x{self.poly:x} is not monic of degree {self.r}"
             )
-        if not is_irreducible(self.poly):
-            raise FieldError(f"polynomial 0x{self.poly:x} is reducible over GF(2)")
-
-    @property
-    def q(self) -> int:
-        return 1 << self.r
+        key = (self.r, self.poly)
+        tables = _TABLES.get(key)
+        if tables is None:
+            if not is_irreducible(self.poly):
+                raise FieldError(f"polynomial 0x{self.poly:x} is reducible over GF(2)")
+            tables = _TABLES[key] = _build_tables(self.r, self.poly)
+        object.__setattr__(self, "q", 1 << self.r)
+        object.__setattr__(self, "exp", tables[0])
+        object.__setattr__(self, "log", tables[1])
 
     def check(self, *values: int) -> None:
         for v in values:
@@ -121,44 +176,33 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         self.check(a, b)
-        if self.r <= 8:
-            return mul_table(self)[a][b]
-        return _raw_mul(a, b, self.r, self.poly)
+        log = self.log
+        return self.exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.r <= 8:
-            return inv_table(self)[a]
-        return self.pow(a, self.q - 2)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        self.check(a, b)
+        if b == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        log = self.log
+        return self.exp[log[a] + self.q - 1 - log[b]]
 
     def pow(self, a: int, e: int) -> int:
         self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
             return 1 if e == 0 else 0
-        e %= self.q - 1 or 1
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     def frob(self, a: int, i: int) -> int:
         """a^(2^i); i taken mod r since Frobenius has order r."""
-        self.check(a)
-        for _ in range(i % self.r):
-            a = self.mul(a, a)
-        return a
+        return self.pow(a, 1 << (i % self.r))
 
     def subfield(self, s: int) -> list[int]:
         """Elements of the subfield GF(2^s), for s dividing r."""
@@ -172,7 +216,8 @@ class FieldSpec:
 
 def field_make(r: int, poly: int | None = None) -> FieldSpec:
     """Build a validated FieldSpec; poly=None picks the default irreducible."""
-    if not isinstance(r, int) or not 1 <= r <= MAX_DEGREE:
+    _check_int("degree", r)
+    if not 1 <= r <= MAX_DEGREE:
         raise FieldError(f"degree {r} out of range 1..{MAX_DEGREE}")
     if poly is None:
         poly = DEFAULT_POLYS[r]
@@ -181,45 +226,9 @@ def field_make(r: int, poly: int | None = None) -> FieldSpec:
 
 def field_from_json(obj: dict) -> FieldSpec:
     try:
-        r = int(obj["r"])
+        r = obj["r"]
         poly = obj.get("poly")
         poly = int(poly, 16) if isinstance(poly, str) else poly
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldError(f"malformed field description: {obj!r}") from exc
     return field_make(r, poly)
-
-
-@lru_cache(maxsize=None)
-def mul_table(spec: FieldSpec) -> list[list[int]]:
-    """Full q x q product table; only sensible for r <= 8."""
-    if spec.r > 8:
-        raise FieldError("multiplication table only cached for r <= 8")
-    q = spec.q
-    table = [[0] * q for _ in range(q)]
-    for a in range(q):
-        row = table[a]
-        for b in range(a, q):
-            v = _raw_mul(a, b, spec.r, spec.poly)
-            row[b] = v
-            table[b][a] = v
-    return table
-
-
-@lru_cache(maxsize=None)
-def inv_table(spec: FieldSpec) -> list[int]:
-    if spec.r > 8:
-        raise FieldError("inverse table only cached for r <= 8")
-    return [0] + [
-        _pow_raw(a, spec.q - 2, spec.r, spec.poly) for a in range(1, spec.q)
-    ]
-
-
-def _pow_raw(a: int, e: int, r: int, poly: int) -> int:
-    acc = 1
-    base = a
-    while e:
-        if e & 1:
-            acc = _raw_mul(acc, base, r, poly)
-        base = _raw_mul(base, base, r, poly)
-        e >>= 1
-    return acc

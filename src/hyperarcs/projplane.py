@@ -10,30 +10,19 @@ so tuple equality is equality in PGL(3,q).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from hyperarcs.gf2 import FieldSpec, _raw_mul, inv_table, mul_table
+from hyperarcs.gf2 import FieldSpec
 
 Point = tuple[int, int, int]
 Line = tuple[int, int, int]
 Matrix = tuple[tuple[int, int, int], ...]
 
+# Everything below multiplies through the field's log/antilog tables
+# (spec.exp, spec.log; see gf2), unchecked: public entry points that take
+# outside values check them first.
+
 
 class GeometryError(ValueError):
     """Degenerate input to a geometric operation."""
-
-
-@lru_cache(maxsize=None)
-def _fast_ops(spec: FieldSpec):
-    """(mul, inv) closures over cached tables; the geometry below is
-    multiplication-bound, so it binds these once per call instead of going
-    through the checked field methods."""
-    if spec.r <= 8:
-        mt = mul_table(spec)
-        it = inv_table(spec)
-        return (lambda a, b: mt[a][b]), (lambda a: it[a])
-    r, poly = spec.r, spec.poly
-    return (lambda a, b: _raw_mul(a, b, r, poly)), spec.inv
 
 
 def normalize(spec: FieldSpec, triple) -> Point:
@@ -43,17 +32,16 @@ def normalize(spec: FieldSpec, triple) -> Point:
 
 
 def _normalize_fast(spec: FieldSpec, x1: int, x2: int, x3: int) -> Point:
-    mul, inv = _fast_ops(spec)
+    exp, log = spec.exp, spec.log
     if x3:
         if x3 == 1:
             return (x1, x2, 1)
-        s = inv(x3)
-        return (mul(x1, s), mul(x2, s), 1)
+        s = spec.q - 1 - log[x3]
+        return (exp[log[x1] + s], exp[log[x2] + s], 1)
     if x2:
         if x2 == 1:
             return (x1, 1, 0)
-        s = inv(x2)
-        return (mul(x1, s), 1, 0)
+        return (exp[log[x1] + spec.q - 1 - log[x2]], 1, 0)
     if x1:
         return (1, 0, 0)
     raise GeometryError("zero triple is not a projective point")
@@ -78,45 +66,42 @@ def direction_point(spec: FieldSpec, a: int, b: int) -> Point:
     return normalize(spec, (a, b, 0))
 
 
-def incident(spec: FieldSpec, point: Point, line: Line) -> bool:
-    mul, _ = _fast_ops(spec)
+def _dot(exp, log, u, v) -> int:
     return (
-        mul(point[0], line[0]) ^ mul(point[1], line[1]) ^ mul(point[2], line[2])
-    ) == 0
-
-
-def _cross(spec: FieldSpec, u, v) -> tuple[int, int, int]:
-    # characteristic two: the cross product's signs all collapse to xor
-    m, _ = _fast_ops(spec)
-    return (
-        m(u[1], v[2]) ^ m(u[2], v[1]),
-        m(u[2], v[0]) ^ m(u[0], v[2]),
-        m(u[0], v[1]) ^ m(u[1], v[0]),
+        exp[log[u[0]] + log[v[0]]] ^ exp[log[u[1]] + log[v[1]]] ^ exp[log[u[2]] + log[v[2]]]
     )
+
+
+def _cross(exp, log, u, v) -> tuple[int, int, int]:
+    # characteristic two: the cross product's signs all collapse to xor
+    u0, u1, u2 = log[u[0]], log[u[1]], log[u[2]]
+    v0, v1, v2 = log[v[0]], log[v[1]], log[v[2]]
+    return (
+        exp[u1 + v2] ^ exp[u2 + v1],
+        exp[u2 + v0] ^ exp[u0 + v2],
+        exp[u0 + v1] ^ exp[u1 + v0],
+    )
+
+
+def incident(spec: FieldSpec, point: Point, line: Line) -> bool:
+    return _dot(spec.exp, spec.log, point, line) == 0
 
 
 def line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
     if p == q:
         raise GeometryError("no unique line through a repeated point")
-    t = _cross(spec, p, q)
-    return _normalize_fast(spec, t[0], t[1], t[2])
+    return _normalize_fast(spec, *_cross(spec.exp, spec.log, p, q))
 
 
 def meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
     if l1 == l2:
         raise GeometryError("no unique meet of a repeated line")
-    t = _cross(spec, l1, l2)
-    return _normalize_fast(spec, t[0], t[1], t[2])
+    return _normalize_fast(spec, *_cross(spec.exp, spec.log, l1, l2))
 
 
 def det3(spec: FieldSpec, rows) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    m, _ = _fast_ops(spec)
-    return (
-        m(a, m(e, i)) ^ m(a, m(f, h))
-        ^ m(b, m(d, i)) ^ m(b, m(f, g))
-        ^ m(c, m(d, h)) ^ m(c, m(e, g))
-    )
+    exp, log = spec.exp, spec.log
+    return _dot(exp, log, rows[0], _cross(exp, log, rows[1], rows[2]))
 
 
 def collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
@@ -137,7 +122,7 @@ def all_lines(spec: FieldSpec) -> list[Line]:
 
 def line_points(spec: FieldSpec, line: Line) -> list[Point]:
     """The q + 1 points of a line, via a spanning pair."""
-    mul, _ = _fast_ops(spec)
+    exp, log = spec.exp, spec.log
     l1, l2, l3 = line
     if l1 == 0 and l2 == 0:
         base, other = (1, 0, 0), (0, 1, 0)
@@ -147,14 +132,14 @@ def line_points(spec: FieldSpec, line: Line) -> list[Point]:
     else:
         base = _normalize_fast(spec, l2, l1, 0)
         other = _normalize_fast(spec, l3, 0, l1)
+    b0, b1, b2 = log[base[0]], log[base[1]], log[base[2]]
+    o0, o1, o2 = other
     pts = [other]
     for t in spec.nonzero():
+        lt = log[t]
         pts.append(
             _normalize_fast(
-                spec,
-                other[0] ^ mul(t, base[0]),
-                other[1] ^ mul(t, base[1]),
-                other[2] ^ mul(t, base[2]),
+                spec, o0 ^ exp[lt + b0], o1 ^ exp[lt + b1], o2 ^ exp[lt + b2]
             )
         )
     pts.append(base)
@@ -166,12 +151,14 @@ def line_points(spec: FieldSpec, line: Line) -> list[Point]:
 
 
 def _scale_matrix(spec: FieldSpec, rows) -> Matrix:
-    flat = [v for row in rows for v in row]
-    lead = next((v for v in flat if v), 0)
+    """The projectivity's representative whose first nonzero entry
+    (row-major) is 1; any nonzero multiple of rows gives the same one."""
+    exp, log = spec.exp, spec.log
+    lead = next((v for row in rows for v in row if v), 0)
     if lead == 0:
         raise GeometryError("zero matrix")
-    s = spec.inv(lead)
-    return tuple(tuple(spec.mul(v, s) for v in row) for row in rows)
+    s = spec.q - 1 - log[lead]
+    return tuple(tuple(exp[log[v] + s] for v in row) for row in rows)
 
 
 def matrix_make(spec: FieldSpec, rows) -> Matrix:
@@ -188,41 +175,29 @@ def matrix_det(spec: FieldSpec, rows) -> int:
 
 
 def apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
-    m, _ = _fast_ops(spec)
+    exp, log = spec.exp, spec.log
     return _normalize_fast(
-        spec,
-        m(mat[0][0], p[0]) ^ m(mat[0][1], p[1]) ^ m(mat[0][2], p[2]),
-        m(mat[1][0], p[0]) ^ m(mat[1][1], p[1]) ^ m(mat[1][2], p[2]),
-        m(mat[2][0], p[0]) ^ m(mat[2][1], p[1]) ^ m(mat[2][2], p[2]),
+        spec, _dot(exp, log, mat[0], p), _dot(exp, log, mat[1], p), _dot(exp, log, mat[2], p)
     )
 
 
 def compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
     """The projectivity applying g first, then f (matrix product f @ g)."""
-    m = spec.mul
-    rows = tuple(
-        tuple(
-            m(f[i][0], g[0][j]) ^ m(f[i][1], g[1][j]) ^ m(f[i][2], g[2][j])
-            for j in range(3)
-        )
-        for i in range(3)
+    exp, log = spec.exp, spec.log
+    columns = tuple(zip(*g))
+    return _scale_matrix(
+        spec, tuple(tuple(_dot(exp, log, row, col) for col in columns) for row in f)
     )
-    return _scale_matrix(spec, rows)
 
 
 def inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
-    m = spec.mul
-    (a, b, c), (d, e, f), (g, h, i) = mat
-    cof = (
-        (m(e, i) ^ m(f, h), m(c, h) ^ m(b, i), m(b, f) ^ m(c, e)),
-        (m(f, g) ^ m(d, i), m(a, i) ^ m(c, g), m(c, d) ^ m(a, f)),
-        (m(d, h) ^ m(e, g), m(b, g) ^ m(a, h), m(a, e) ^ m(b, d)),
-    )
-    det = matrix_det(spec, mat)
-    if det == 0:
+    """The adjugate, which is the inverse up to the (dropped) factor det."""
+    if matrix_det(spec, mat) == 0:
         raise GeometryError("singular matrix")
-    s = spec.inv(det)
-    return _scale_matrix(spec, tuple(tuple(m(v, s) for v in row) for row in cof))
+    exp, log = spec.exp, spec.log
+    r0, r1, r2 = mat
+    columns = (_cross(exp, log, r1, r2), _cross(exp, log, r2, r0), _cross(exp, log, r0, r1))
+    return _scale_matrix(spec, tuple(zip(*columns)))
 
 
 def identity_matrix(spec: FieldSpec) -> Matrix:
@@ -257,8 +232,9 @@ def center(spec: FieldSpec, mat: Matrix) -> Point:
     (a, b, c), (d, e, f), (g, h, i) = mat
     if not (b == 0 and d == 0 and g == 0 and h == 0 and a == e and i != 0):
         raise GeometryError("not a central collineation with axis X3 = 0")
-    s = spec.inv(i)
-    lam, a1, a2 = spec.mul(a, s), spec.mul(c, s), spec.mul(f, s)
+    exp, log = spec.exp, spec.log
+    s = spec.q - 1 - log[i]
+    lam, a1, a2 = exp[log[a] + s], exp[log[c] + s], exp[log[f] + s]
     if lam == 1:
         if a1 == 0 and a2 == 0:
             raise GeometryError("identity has no center")
@@ -266,27 +242,35 @@ def center(spec: FieldSpec, mat: Matrix) -> Point:
     return normalize(spec, (a1, a2, 1 ^ lam))
 
 
-def _solve3(spec: FieldSpec, mat_rows, rhs):
-    """Solve a 3x3 linear system by Gaussian elimination."""
-    m = spec.mul
-    aug = [list(row) + [r] for row, r in zip(mat_rows, rhs)]
-    for col in range(3):
-        pivot = next((r for r in range(col, 3) if aug[r][col]), None)
-        if pivot is None:
-            raise GeometryError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        s = spec.inv(aug[col][col])
-        aug[col] = [m(v, s) for v in aug[col]]
-        for r in range(3):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v ^ m(factor, w) for v, w in zip(aug[r], aug[col])]
-    return [aug[r][3] for r in range(3)]
+def _to_standard_frame(spec: FieldSpec, p1, p2, p3, p4) -> Matrix:
+    """Rows of a matrix sending the frame p1, p2, p3, p4 to STANDARD_FRAME,
+    up to scale; the four points must be in general position.
+
+    Cramer's rule, without its common denominator, gives the columns
+    c1*p1, c2*p2, c3*p3 of a map sending e1, e2, e3, e1 + e2 + e3 to the
+    frame: c1 = det(p4, p2, p3) and so on.  Its adjugate, the inverse map,
+    has rows c2*c3*(p2 x p3), c3*c1*(p3 x p1), c1*c2*(p1 x p2), here scaled
+    by 1/(c1*c2*c3).  The standard frame's basis matrix then rewires those
+    rows as (row2, row1, row0 + row1 + row2)."""
+    exp, log = spec.exp, spec.log
+    u = spec.q - 1
+    x23 = _cross(exp, log, p2, p3)
+    x31 = _cross(exp, log, p3, p1)
+    x12 = _cross(exp, log, p1, p2)
+    s1 = u - log[_dot(exp, log, p4, x23)]
+    s2 = u - log[_dot(exp, log, p4, x31)]
+    s3 = u - log[_dot(exp, log, p4, x12)]
+    row0 = (exp[log[x23[0]] + s1], exp[log[x23[1]] + s1], exp[log[x23[2]] + s1])
+    row1 = (exp[log[x31[0]] + s2], exp[log[x31[1]] + s2], exp[log[x31[2]] + s2])
+    row2 = (exp[log[x12[0]] + s3], exp[log[x12[1]] + s3], exp[log[x12[2]] + s3])
+    return (row2, row1, (row0[0] ^ row1[0] ^ row2[0], row0[1] ^ row1[1] ^ row2[1],
+                         row0[2] ^ row1[2] ^ row2[2]))
 
 
-def _frame_to_standard(spec: FieldSpec, pts) -> Matrix:
-    """Matrix sending the basis frame e1, e2, e3, e1+e2+e3 to the 4 points."""
+def _check_frame(spec: FieldSpec, pts) -> None:
     p1, p2, p3, p4 = pts
+    for p in pts:
+        spec.check(*p)
     if (
         collinear(spec, p1, p2, p3)
         or collinear(spec, p1, p2, p4)
@@ -294,20 +278,18 @@ def _frame_to_standard(spec: FieldSpec, pts) -> Matrix:
         or collinear(spec, p2, p3, p4)
     ):
         raise GeometryError("frame points are not in general position")
-    cols = tuple(zip(p1, p2, p3))
-    c1, c2, c3 = _solve3(spec, cols, p4)
-    m = spec.mul
-    rows = tuple(
-        (m(c1, p1[k]), m(c2, p2[k]), m(c3, p3[k])) for k in range(3)
-    )
-    return matrix_make(spec, rows)
 
 
 def frame_map(spec: FieldSpec, sources, targets) -> Matrix:
     """The unique projectivity sending one 4-point frame to another, in order."""
-    a = _frame_to_standard(spec, tuple(sources))
-    b = _frame_to_standard(spec, tuple(targets))
-    return compose(spec, b, inverse(spec, a))
+    sources, targets = tuple(sources), tuple(targets)
+    _check_frame(spec, sources)
+    _check_frame(spec, targets)
+    return compose(
+        spec,
+        inverse(spec, _to_standard_frame(spec, *targets)),
+        _to_standard_frame(spec, *sources),
+    )
 
 
 def point_to_json(p: Point) -> list[str]:

@@ -373,13 +373,28 @@ def test_triangle_property_sampled_q8():
 
 
 def test_canonical_form_matches_frame_map_oracle():
-    arc = quad_arc(GF4)
-    best = None
     from itertools import permutations
 
-    for frame in permutations(arc.points, 4):
-        m = pp.frame_map(GF4, frame, pp.STANDARD_FRAME)
-        img = tuple(sorted(pp.apply_point(GF4, m, p) for p in arc.points))
-        if best is None or img < best:
-            best = img
-    assert arc_canonical_form(arc) == best
+    cases = [
+        (quad_arc(GF4), ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))),
+        (
+            conic_translation_arc(GF8, [1, 2, 4]),
+            ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1),
+             (2, 1, 0), (2, 6, 1), (2, 7, 1), (3, 6, 1)),
+        ),
+        (
+            ghf_eight(GF16)[0],
+            ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1),
+             (2, 1, 0), (2, 4, 1), (13, 2, 1), (15, 5, 1)),
+        ),
+    ]
+    for arc, expected in cases:
+        spec = arc.spec
+        best = None
+        for frame in permutations(arc.points, 4):
+            m = pp.frame_map(spec, frame, pp.STANDARD_FRAME)
+            assert [pp.apply_point(spec, m, p) for p in frame] == list(pp.STANDARD_FRAME)
+            img = tuple(sorted(pp.apply_point(spec, m, p) for p in arc.points))
+            if best is None or img < best:
+                best = img
+        assert arc_canonical_form(arc) == best == expected

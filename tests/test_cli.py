@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hyperarcs.cli import RunReport, dispatch
 
 
@@ -36,6 +38,25 @@ def test_unknown_command_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghf", "build", "--q", "16", "--lambda", "zz"],
+        ["arc", "build", "--example", "n1", "--r", "3", "--h-basis", "zz"],
+        ["arc", "build", "--example", "n3", "--q", "16", "--eta", "zz", "--b", "1"],
+        ["field", "--q", "0"],
+        ["arc", "complete", "--r", "6", "--s", "0"],
+        ["--out", "{missing}/x.json", "field", "--r", "4"],
+    ],
+)
+def test_bad_input_is_exit_2_with_message(tmp_path, capsys, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # arc
 
@@ -66,6 +87,14 @@ def test_arc_verify_malformed_is_exit_2(tmp_path, capsys):
     not_json.write_text("}{")
     code, out, err = run(capsys, "arc", "verify", "--in", str(not_json))
     assert code == 2
+    fractional_poly = tmp_path / "fractional_poly.json"
+    fractional_poly.write_text(json.dumps({
+        "field": {"r": 4, "poly": 19.5},
+        "points": [["0x0", "0x0", "0x1"]],
+    }))
+    code, out, err = run(capsys, "arc", "verify", "--in", str(fractional_poly))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_arc_verify_collinear_is_verification_failure(tmp_path, capsys):

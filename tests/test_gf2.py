@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hyperarcs.gf2 import (
     DEFAULT_POLYS,
     FieldError,
+    FieldSpec,
+    _raw_mul,
     field_from_json,
     field_make,
-    inv_table,
     is_irreducible,
-    mul_table,
 )
 
 
@@ -149,6 +149,24 @@ def test_json_round_trip():
         field_from_json({"poly": "0x25"})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"r": 4.5},
+        {"r": 4.0},
+        {"r": True},
+        {"r": "4"},
+        {"r": 4, "poly": 19.5},
+        {"r": 4, "poly": True},
+        {"r": 4, "poly": [19]},
+        {"r": 4, "poly": "zz"},
+    ],
+)
+def test_json_rejects_non_integral_degree_or_poly(obj):
+    with pytest.raises(FieldError):
+        field_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic against the oracles
 
@@ -247,15 +265,38 @@ def test_subfield_sizes():
         spec.subfield(4)
 
 
-def test_cached_tables_agree():
-    spec = field_make(4)
-    table = mul_table(spec)
-    invs = inv_table(spec)
-    for a in spec.elements():
-        for b in spec.elements():
-            assert table[a][b] == spec.mul(a, b)
-    for a in spec.nonzero():
-        assert invs[a] == spec.inv(a)
+# Every default polynomial, plus one irreducible that is not a default.  Under
+# the default r = 8 polynomial X has order 51, so the table generator must be
+# searched for; 0x11D is the primitive r = 8 polynomial of Reed-Solomon codes.
+KERNEL_FIELDS = [(r, DEFAULT_POLYS[r]) for r in range(1, 17)] + [(8, 0x11D)]
+
+
+@pytest.mark.parametrize("r, poly", KERNEL_FIELDS)
+def test_log_tables_match_shift_and_xor(r, poly):
+    spec = FieldSpec(r, poly)
+    q = spec.q
+    if r <= 8:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        units = range(1, q)
+    else:
+        rng = random.Random(3000 + r)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        pairs += [(0, 0), (0, q - 1), (q - 1, 0), (1, q - 1)]
+        units = [rng.randrange(1, q) for _ in range(500)] + [1, q - 1]
+    for a, b in pairs:
+        assert spec.mul(a, b) == _raw_mul(a, b, r, poly)
+    for a in units:
+        assert _raw_mul(a, spec.inv(a), r, poly) == 1
+    # the multiplicative group is cyclic, generated by exp[1]
+    assert len(set(spec.exp[: q - 1])) == q - 1
+
+
+def test_tables_shared_and_invisible():
+    a, b = field_make(10), FieldSpec(10, DEFAULT_POLYS[10])
+    assert a.exp is b.exp and a.log is b.log
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "FieldSpec(r=10, poly=1135)"
+    assert FieldSpec(8, 0x11D) != field_make(8)
 
 
 # ---------------------------------------------------------------------------
