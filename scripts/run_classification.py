@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from hyperarcs.classify import classify_ghf
+from hyperarcs.classify import MAX_K, classify_ghf
 from hyperarcs.gf2 import field_make
 from hyperarcs.onefact import enumerate_factorizations
 
@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=None,
                     help="embedding search node budget per class")
     args = ap.parse_args()
+    if args.max_k > MAX_K:
+        ap.error(f"--max-k above {MAX_K} is not supported")
 
     t0 = time.time()
     catalogs = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from hyperarcs.gf2 import FieldSpec, field_make
+from hyperarcs.gf2 import FieldSpec, field_from_json, field_make
 from hyperarcs import projplane as pp
 from hyperarcs.projplane import (
     LINE_AT_INFINITY,
@@ -34,6 +34,16 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 class ArcError(ValueError):
     """A point set that violates an arc-side contract."""
+
+
+class CollinearError(ArcError):
+    """A point set with three collinear points; carries the field and the
+    first collinear triple found, as a witness."""
+
+    def __init__(self, spec: FieldSpec, witness: tuple[Point, Point, Point]):
+        super().__init__(f"three collinear points: {witness}")
+        self.spec = spec
+        self.witness = witness
 
 
 Pair = tuple[int, int]
@@ -98,7 +108,7 @@ class Arc:
         object.__setattr__(self, "points", pts)
         witness = _collinear_triple(self.spec, pts)
         if witness is not None:
-            raise ArcError(f"three collinear points: {witness}")
+            raise CollinearError(self.spec, witness)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -114,10 +124,13 @@ class Arc:
 
 
 def arc_from_json(obj: dict) -> Arc:
-    from hyperarcs.gf2 import field_from_json
-
+    """The arc an arc file describes; CollinearError when it has three
+    collinear points, other ArcError, GeometryError or FieldError when the
+    data is malformed."""
     if not isinstance(obj, dict) or "field" not in obj or "points" not in obj:
         raise ArcError(f"malformed arc object: keys {sorted(obj) if isinstance(obj, dict) else type(obj)}")
+    if not isinstance(obj["points"], (list, tuple)):
+        raise ArcError(f"malformed arc object: points {obj['points']!r} is not a list")
     spec = field_from_json(obj["field"])
     pts = [pp.point_from_json(spec, p) for p in obj["points"]]
     return Arc(spec, tuple(pts))
@@ -569,51 +582,37 @@ def enumerate_subgroups(spec: FieldSpec, dim: int):
                 break
 
 
+def _distinct_slopes(spec: FieldSpec, basis) -> bool:
+    """Whether the nonzero elements of the span of basis have pairwise
+    distinct slopes b / a, with q standing in for infinity.  The span grows
+    one basis pair at a time, and the test stops at the first repeat."""
+    exp, log = spec.exp, spec.log
+    shift = spec.q - 1
+    elems = [(0, 0)]
+    slopes = set()
+    for va, vb in basis:
+        fresh = [(x ^ va, y ^ vb) for x, y in elems]
+        for u, v in fresh:
+            s = exp[log[v] + shift - log[u]] if u else spec.q
+            if s in slopes:
+                return False
+            slopes.add(s)
+        elems.extend(fresh)
+    return True
+
+
 def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
     """Orbit is an arc iff the nonzero elements of G have pairwise distinct
     slopes (translating any collinear triple moves one point to the origin)."""
-    spec = group.spec
-    exp, log = spec.exp, spec.log
-    slopes = set()
-    for a, b in group.elements:
-        if (a, b) == (0, 0):
-            continue
-        # the slope b / a, with q standing in for infinity
-        key = exp[log[b] + spec.q - 1 - log[a]] if a else spec.q
-        if key in slopes:
-            return False
-        slopes.add(key)
-    return True
+    return _distinct_slopes(group.spec, group.basis)
 
 
 def enumerate_arc_subgroups(spec: FieldSpec, dims):
     """Exhaustively enumerate the subgroups of the given dimensions whose
-    orbit is an arc, yielding basis tuples.
-
-    Same slope criterion as is_translation_arc_group, maintained
-    incrementally so full sweeps of many thousands of subspaces stay fast;
-    aborts a subspace at the first repeated slope.
-    """
+    orbit is an arc, yielding basis tuples."""
     if spec.r > 8:
         raise ArcError("exhaustive sweeps are supported for r <= 8")
-    exp, log = spec.exp, spec.log
-    infinity = spec.q  # sentinel slope for vertical directions
-    shift = spec.q - 1
     for dim in dims:
         for basis in enumerate_subgroups(spec, dim):
-            elems = [(0, 0)]
-            slopes = set()
-            ok = True
-            for va, vb in basis:
-                fresh = [(x ^ va, y ^ vb) for x, y in elems]
-                for u, v in fresh:
-                    s = exp[log[v] + shift - log[u]] if u else infinity
-                    if s in slopes:
-                        ok = False
-                        break
-                    slopes.add(s)
-                if not ok:
-                    break
-                elems.extend(fresh)
-            if ok:
+            if _distinct_slopes(spec, basis):
                 yield basis

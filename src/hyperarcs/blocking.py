@@ -17,7 +17,15 @@ from itertools import combinations, permutations
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
-from hyperarcs.arcs import Arc, ArcError, AdditiveSubgroup, secant_directions, secants, translation_arc
+from hyperarcs.arcs import (
+    Arc,
+    ArcError,
+    AdditiveSubgroup,
+    secant_directions,
+    secants,
+    subgroup_make,
+    translation_arc,
+)
 from hyperarcs.projplane import Matrix, Point
 from hyperarcs.onefact import OneFactorization
 
@@ -42,7 +50,7 @@ class BlockingSet:
 
     @property
     def linear(self) -> bool:
-        return is_linear(self.spec, self.points)
+        return pp.is_linear(self.spec, self.points)
 
     def to_json(self) -> dict:
         return {
@@ -61,15 +69,6 @@ def is_blocking(arc: Arc, points) -> bool:
     return all(
         any(pp.incident(spec, p, line) for p in pts) for line in secants(arc)
     )
-
-
-def is_linear(spec: FieldSpec, points) -> bool:
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return True
-    base, second = pts[0], pts[1]
-    line = pp.line_through(spec, base, second)
-    return all(pp.incident(spec, p, line) for p in pts[2:])
 
 
 def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
@@ -254,8 +253,6 @@ def ghf_eight(
 
 
 def _quadrangle_group(spec: FieldSpec) -> AdditiveSubgroup:
-    from hyperarcs.arcs import subgroup_make
-
     return subgroup_make(spec, [(0, 1), (1, 0)])
 
 

@@ -17,11 +17,15 @@ from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
 from hyperarcs.blocking import BlockingError, arc_canonical_form, ghf_eight
 from hyperarcs.onefact import (
+    FactorizationError,
     OneFactorization,
     closure,
     embed_search,
     enumerate_factorizations,
 )
+
+
+MAX_K = 10
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,12 @@ def classify_ghf(
     Odd sizes never occur (a minimum blocking set forces k even), so the
     sweep covers k = 2n for n in 3..max_k//2.  catalogs may carry
     pre-enumerated factorization lists keyed by n; embed_budget bounds the
-    per-class embedding search node count (None = exhaustive).
+    per-class embedding search node count (None = exhaustive).  max_k
+    stops at MAX_K: K12 has 526,915,620 classes, and the embedding search
+    takes at most 10 vertices.
     """
+    if max_k > MAX_K:
+        raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_K}")
     rows: list[ClassRow] = []
     nonlinear: dict[tuple, int] = {}
     exhaustive = True

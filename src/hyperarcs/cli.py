@@ -1,10 +1,11 @@
 """Command-line front end: structured runs over the library.
 
 Every subcommand emits one JSON report (stdout, or --out) echoing enough of
-the invocation to re-run it byte-identically.  Exit codes: 0 when all
-verifications pass, 1 when a verification fails (the report carries a
-witness), 2 for usage and configuration errors.  --threads and --seed are
-accepted for reproducibility bookkeeping and never affect output bytes.
+the invocation to re-run it byte-identically; --format csv emits the table
+of a tabular report instead.  Exit codes: 0 when all verifications pass, 1
+when a verification fails (the report carries a witness), 2 for usage and
+configuration errors.  Each subcommand's parser names its handler, a
+function of (args, report) that fills the report and returns the exit code.
 """
 
 from __future__ import annotations
@@ -15,19 +16,18 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from hyperarcs import projplane as pp
 from hyperarcs.arcs import (
-    Arc,
     ArcError,
+    CollinearError,
     arc_from_json,
     build_complete_translation_arc,
     conic_translation_arc,
     frobenius_translation_arc,
     hyperfocused_lines,
     split_conic_arc,
-    _collinear_triple,
 )
 from hyperarcs.blocking import BlockingError, ghf_eight, min_blocking_sets
 from hyperarcs.classify import classify_ghf
@@ -55,29 +55,6 @@ class RunReport:
     witnesses: dict = dc_field(default_factory=dict)
     results: dict = dc_field(default_factory=dict)
     duration_s: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "field": self.field,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-            "results": self.results,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunReport":
-        return cls(
-            command=obj["command"],
-            field=obj["field"],
-            inputs=obj["inputs"],
-            verdicts=obj["verdicts"],
-            witnesses=obj["witnesses"],
-            results=obj["results"],
-            duration_s=obj["duration_s"],
-        )
 
 
 def _parse_field_value(text: str) -> int:
@@ -124,7 +101,7 @@ def _load_json(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, report)
+# Subcommand handlers: each fills the report and returns the exit code
 
 
 def _cmd_field(args, report: RunReport) -> int:
@@ -197,25 +174,17 @@ def _cmd_arc_complete(args, report: RunReport) -> int:
 def _cmd_arc_verify(args, report: RunReport) -> int:
     if not args.infile:
         raise UsageError("arc verify needs --in")
-    obj = _load_json(args.infile)
     try:
-        arc = arc_from_json(obj)
-    except (ArcError, pp.GeometryError, FieldError) as exc:
-        # distinguish malformed data (usage) from a genuine arc violation
-        from hyperarcs.gf2 import field_from_json
-
-        try:
-            spec = field_from_json(obj.get("field", {}))
-            pts = tuple(pp.point_from_json(spec, p) for p in obj.get("points", []))
-        except Exception:
-            raise UsageError(f"malformed arc file {args.infile}: {exc}") from exc
-        witness = _collinear_triple(spec, tuple(sorted(set(pts))))
-        report.field = spec.to_json()
+        arc = arc_from_json(_load_json(args.infile))
+    except CollinearError as exc:
+        report.field = exc.spec.to_json()
         report.verdicts["is_arc"] = False
         report.witnesses["collinear_triple"] = [
-            pp.point_to_json(p) for p in witness
+            pp.point_to_json(p) for p in exc.witness
         ]
         return 1
+    except (ArcError, pp.GeometryError, FieldError) as exc:
+        raise UsageError(f"malformed arc file {args.infile}: {exc}") from exc
     report.field = arc.spec.to_json()
     report.results["size"] = len(arc)
     report.verdicts["is_arc"] = True
@@ -276,14 +245,10 @@ def _cmd_onefact_enumerate(args, report: RunReport) -> int:
     return 0
 
 
-def _rows_table(report: RunReport, rows: list[dict], key: str):
-    report.results[key] = rows
-
-
 def _cmd_onefact_closure(args, report: RunReport) -> int:
     facts = _catalog_from_args(args, report)
     rows = closure_survey(facts)
-    _rows_table(report, rows, "closure")
+    report.results["closure"] = rows
     report.results["all_contain"] = all(r["contains_all"] for r in rows)
     report.results["max_depth"] = max((r["depth"] for r in rows), default=0)
     report.verdicts["verified"] = True
@@ -299,8 +264,6 @@ def _cmd_onefact_embed(args, report: RunReport) -> int:
         embs, exhausted = embed_search(
             fact, spec, limit=args.limit, max_nodes=args.budget
         )
-        for e in embs:
-            e.validate()
         nonlinear = sum(1 for e in embs if not e.focus_collinear())
         rows.append(
             {
@@ -310,7 +273,7 @@ def _cmd_onefact_embed(args, report: RunReport) -> int:
                 "exhausted": exhausted,
             }
         )
-    _rows_table(report, rows, "embed")
+    report.results["embed"] = rows
     report.verdicts["all_validated"] = True
     return 0
 
@@ -356,10 +319,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="hyperfocused and generalized hyperfocused arcs in PG(2, 2^r)",
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--threads", type=int, default=1, help="runtime hint only")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; no effect")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = parser.add_subparsers(dest="command_name")
+    # required subcommands make argparse itself reject a command group given
+    # alone; dest only names the missing argument in that message
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def leaf(subparsers, name, handler, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True
+        )
 
     def add_field_args(p, with_q=False):
         p.add_argument("--r", type=int)
@@ -367,12 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=int)
         p.add_argument("--poly", type=lambda s: int(s, 16))
 
-    p_field = sub.add_parser("field", help="validate and describe a field")
+    p_field = leaf(sub, "field", _cmd_field, help="validate and describe a field")
     add_field_args(p_field, with_q=True)
 
-    p_arc = sub.add_parser("arc", help="build, complete, verify arcs")
-    arc_sub = p_arc.add_subparsers(dest="arc_command")
-    p_build = arc_sub.add_parser("build")
+    arc_sub = group("arc", "build, complete, verify arcs")
+    p_build = leaf(arc_sub, "build", _cmd_arc_build)
     add_field_args(p_build, with_q=True)
     p_build.add_argument("--example", required=True, choices=("n1", "n2", "n3"))
     p_build.add_argument("--h-basis", dest="h_basis")
@@ -380,43 +352,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--eta")
     p_build.add_argument("--b")
     p_build.add_argument("--save", help="write the arc JSON here")
-    p_complete = arc_sub.add_parser("complete")
+    p_complete = leaf(arc_sub, "complete", _cmd_arc_complete)
     p_complete.add_argument("--r", type=int)
     p_complete.add_argument("--s", type=int)
     p_complete.add_argument("--save", help="write the arc JSON here")
-    p_verify = arc_sub.add_parser("verify")
+    p_verify = leaf(arc_sub, "verify", _cmd_arc_verify)
     p_verify.add_argument("--in", dest="infile")
     p_verify.add_argument("--hyperfocused", action="store_true")
 
-    p_blocking = sub.add_parser("blocking", help="blocking sets of secants")
-    blocking_sub = p_blocking.add_subparsers(dest="blocking_command")
-    p_find = blocking_sub.add_parser("find")
+    blocking_sub = group("blocking", "blocking sets of secants")
+    p_find = leaf(blocking_sub, "find", _cmd_blocking_find)
     p_find.add_argument("--in", dest="infile")
     p_find.add_argument("--all", action="store_true")
 
-    p_ghf = sub.add_parser("ghf", help="generalized hyperfocused constructions")
-    ghf_sub = p_ghf.add_subparsers(dest="ghf_command")
-    p_ghf_build = ghf_sub.add_parser("build")
+    ghf_sub = group("ghf", "generalized hyperfocused constructions")
+    p_ghf_build = leaf(ghf_sub, "build", _cmd_ghf_build)
     add_field_args(p_ghf_build, with_q=True)
     p_ghf_build.add_argument("--lambda", dest="lam")
     p_ghf_build.add_argument("--a1")
     p_ghf_build.add_argument("--a2")
 
-    p_onefact = sub.add_parser("onefact", help="1-factorizations of K_2n")
-    onefact_sub = p_onefact.add_subparsers(dest="onefact_command")
-    p_enum = onefact_sub.add_parser("enumerate")
+    onefact_sub = group("onefact", "1-factorizations of K_2n")
+    p_enum = leaf(onefact_sub, "enumerate", _cmd_onefact_enumerate)
     p_enum.add_argument("--n", type=int)
     p_enum.add_argument("--out", dest="catalog_out", help="write the catalog here")
-    p_closure = onefact_sub.add_parser("closure")
+    p_closure = leaf(onefact_sub, "closure", _cmd_onefact_closure)
     p_closure.add_argument("--catalog")
-    p_closure.add_argument("--report", choices=("json", "csv"), default=None)
-    p_embed = onefact_sub.add_parser("embed")
+    p_embed = leaf(onefact_sub, "embed", _cmd_onefact_embed)
     p_embed.add_argument("--catalog")
     add_field_args(p_embed, with_q=True)
     p_embed.add_argument("--limit", type=int)
     p_embed.add_argument("--budget", type=int)
 
-    p_classify = sub.add_parser("classify", help="small GHF classification")
+    p_classify = leaf(sub, "classify", _cmd_classify, help="small GHF classification")
     add_field_args(p_classify, with_q=True)
     p_classify.add_argument("--max-k", type=int, default=10)
     p_classify.add_argument("--budget", type=int)
@@ -424,28 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    ("field", None): _cmd_field,
-    ("arc", "build"): _cmd_arc_build,
-    ("arc", "complete"): _cmd_arc_complete,
-    ("arc", "verify"): _cmd_arc_verify,
-    ("blocking", "find"): _cmd_blocking_find,
-    ("ghf", "build"): _cmd_ghf_build,
-    ("onefact", "enumerate"): _cmd_onefact_enumerate,
-    ("onefact", "closure"): _cmd_onefact_closure,
-    ("onefact", "embed"): _cmd_onefact_embed,
-    ("classify", None): _cmd_classify,
-}
-
-
 def _emit(report: RunReport, args) -> None:
-    fmt = args.format
-    if getattr(args, "report", None):
-        fmt = args.report
-    if fmt == "csv":
+    if args.format == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:
@@ -472,38 +423,18 @@ def _to_csv(report: RunReport) -> str:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    sub_name = getattr(
-        args,
-        {"arc": "arc_command", "blocking": "blocking_command",
-         "ghf": "ghf_command", "onefact": "onefact_command"}.get(
-            args.command_name, "missing"
-        ),
-        None,
-    )
-    handler = _HANDLERS.get((args.command_name, sub_name))
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 2
     report = RunReport(command=["hyperarcs", *argv])
     start = time.monotonic()
     try:
-        code = handler(args, report)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldError, ArcError, BlockingError, FactorizationError,
-            pp.GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report.duration_s = round(time.monotonic() - start, 6)
-    try:
+        code = args.handler(args, report)
+        report.duration_s = round(time.monotonic() - start, 6)
         _emit(report, args)
-    except UsageError as exc:
+    except (UsageError, FieldError, ArcError, BlockingError, FactorizationError,
+            pp.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -478,9 +478,7 @@ class Embedding:
                     )
 
     def focus_collinear(self) -> bool:
-        from hyperarcs.blocking import is_linear
-
-        return is_linear(self.spec, self.foci)
+        return pp.is_linear(self.spec, self.foci)
 
     def arc_points(self) -> tuple[Point, ...]:
         return tuple(sorted(self.vertices))

@@ -53,6 +53,8 @@ ORIGIN: Point = (0, 0, 1)
 # The standard frame: no three of these are collinear in any PG(2,q).
 STANDARD_FRAME: tuple[Point, ...] = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
 
+IDENTITY: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 def affine_point(spec: FieldSpec, a: int, b: int) -> Point:
     spec.check(a, b)
@@ -99,13 +101,22 @@ def meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
     return _normalize_fast(spec, *_cross(spec.exp, spec.log, l1, l2))
 
 
-def det3(spec: FieldSpec, rows) -> int:
+def matrix_det(spec: FieldSpec, rows) -> int:
     exp, log = spec.exp, spec.log
     return _dot(exp, log, rows[0], _cross(exp, log, rows[1], rows[2]))
 
 
 def collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
-    return det3(spec, (p, q, r)) == 0
+    return matrix_det(spec, (p, q, r)) == 0
+
+
+def is_linear(spec: FieldSpec, points) -> bool:
+    """True when the points all lie on one line."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return True
+    line = line_through(spec, pts[0], pts[1])
+    return all(incident(spec, p, line) for p in pts[2:])
 
 
 def all_points(spec: FieldSpec) -> list[Point]:
@@ -170,10 +181,6 @@ def matrix_make(spec: FieldSpec, rows) -> Matrix:
     return _scale_matrix(spec, rows)
 
 
-def matrix_det(spec: FieldSpec, rows) -> int:
-    return det3(spec, rows)
-
-
 def apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
     exp, log = spec.exp, spec.log
     return _normalize_fast(
@@ -198,10 +205,6 @@ def inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
     r0, r1, r2 = mat
     columns = (_cross(exp, log, r1, r2), _cross(exp, log, r2, r0), _cross(exp, log, r0, r1))
     return _scale_matrix(spec, tuple(zip(*columns)))
-
-
-def identity_matrix(spec: FieldSpec) -> Matrix:
-    return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def elation(spec: FieldSpec, a1: int, a2: int) -> Matrix:

@@ -15,7 +15,6 @@ from hyperarcs.blocking import (
     ghf_eight,
     is_blocking,
     is_fano_configuration,
-    is_linear,
     min_blocking_sets,
     secant_blocker_map,
     triangle_collinearity,
@@ -67,7 +66,7 @@ def test_directions_block_translation_arc():
     arc = translation_arc(g)
     dirs = secant_directions(g)
     assert is_blocking(arc, dirs)
-    assert is_linear(GF8, dirs)
+    assert pp.is_linear(GF8, dirs)
 
 
 def test_empty_set_blocks_nothing():
@@ -82,10 +81,10 @@ def test_blocking_set_must_avoid_arc():
 
 
 def test_is_linear_small_sets():
-    assert is_linear(GF8, [(1, 0, 0)])
-    assert is_linear(GF8, [(1, 0, 0), (0, 1, 0)])
-    assert is_linear(GF8, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    assert not is_linear(GF8, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert pp.is_linear(GF8, [(1, 0, 0)])
+    assert pp.is_linear(GF8, [(1, 0, 0), (0, 1, 0)])
+    assert pp.is_linear(GF8, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert not pp.is_linear(GF8, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------

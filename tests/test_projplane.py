@@ -136,7 +136,7 @@ def test_elation_group_law():
 
 
 def test_elation_zero_is_identity():
-    assert pp.elation(GF8, 0, 0) == pp.identity_matrix(GF8)
+    assert pp.elation(GF8, 0, 0) == pp.IDENTITY
 
 
 def test_elation_map_is_isomorphism_small():
@@ -184,7 +184,7 @@ def test_center_of_elation_is_its_direction():
 
 def test_center_of_identity_rejected():
     with pytest.raises(pp.GeometryError):
-        pp.center(GF8, pp.identity_matrix(GF8))
+        pp.center(GF8, pp.IDENTITY)
 
 
 def test_center_of_noncentral_map_rejected():
@@ -207,7 +207,7 @@ def test_center_of_homology_composed_with_elation():
 def test_frame_map_identity():
     assert (
         pp.frame_map(GF8, pp.STANDARD_FRAME, pp.STANDARD_FRAME)
-        == pp.identity_matrix(GF8)
+        == pp.IDENTITY
     )
 
 
@@ -270,7 +270,7 @@ def test_compose_and_inverse():
     rng = random.Random(41)
     for _ in range(50):
         phi = random_projectivity(GF8, rng)
-        assert pp.compose(GF8, phi, pp.inverse(GF8, phi)) == pp.identity_matrix(GF8)
+        assert pp.compose(GF8, phi, pp.inverse(GF8, phi)) == pp.IDENTITY
 
 
 def test_matrix_make_rejects_singular():
