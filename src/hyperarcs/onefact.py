@@ -11,7 +11,11 @@ The triple-closure machinery lives here too: triangles induce 3-sets of
 factors whose embedded focus points must be collinear, and unioning sets
 that share two members propagates that collinearity.  When the closure
 reaches the full factor set, every embedding of the factorization has all
-focus points on one line.
+focus points on one line.  The closure runs in rounds; depth counts the
+rounds that add members.  Each round unites only pairs with a member new in
+the previous round, and matches each new member against the family either
+by pushing (scanning the family) or by pulling (testing its supersets),
+whichever the fixed cost estimate in closure() says is cheaper.
 
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
@@ -205,45 +209,36 @@ class _EnumContext:
             self.bucket[m[0]].append(i)
 
         self.stab_perms = _stabilizer_of_identity(n)
+        if n > 5:
+            # K_12 and up is never enumerated; canonical_form applies the
+            # permutations directly there, because the action table would
+            # not fit in memory
+            self.stab_rows = None
+            return
         matchings = self.matchings
         index = self.index
         mask0 = self.masks[0]
         valid2 = [m for m in self.bucket[2] if not self.masks[m] & mask0]
-
-        if n <= 5:
-            self.stab_rows = [
-                [index[_apply_perm(sigma, m)] for m in matchings]
-                for sigma in self.stab_perms
-            ]
-            # canonical second factors: minimal in their stabilizer orbit
-            # among matchings disjoint from the identity factor
-            self.reps2 = {
-                m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
-            }
-            r2max = max(self.reps2)
-            s2 = {m for m in valid2 if m <= r2max}
-            # for every matching disjoint from the identity: which stabilizer
-            # elements send it into the small-rank set s2
-            t_by_m: dict[int, list[int]] = {}
-            disjoint = [i for i, mk in enumerate(self.masks) if not mk & mask0]
-            for t, row in enumerate(self.stab_rows):
-                for m in disjoint:
-                    if row[m] in s2:
-                        t_by_m.setdefault(m, []).append(t)
-            self.t_by_m = {m: tuple(ts) for m, ts in t_by_m.items()}
-        else:
-            # K_12 and up: the action table would not fit in memory, so the
-            # minimality test falls back to direct permutation application
-            self.stab_rows = None
-            self.reps2 = {
-                m
-                for m in valid2
-                if all(
-                    index[_apply_perm(sigma, matchings[m])] >= m
-                    for sigma in self.stab_perms
-                )
-            }
-            self.t_by_m = None
+        self.stab_rows = [
+            [index[_apply_perm(sigma, m)] for m in matchings]
+            for sigma in self.stab_perms
+        ]
+        # canonical second factors: minimal in their stabilizer orbit
+        # among matchings disjoint from the identity factor
+        self.reps2 = {
+            m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
+        }
+        r2max = max(self.reps2)
+        s2 = {m for m in valid2 if m <= r2max}
+        # for every matching disjoint from the identity: which stabilizer
+        # elements send it into the small-rank set s2
+        t_by_m: dict[int, list[int]] = {}
+        disjoint = [i for i, mk in enumerate(self.masks) if not mk & mask0]
+        for t, row in enumerate(self.stab_rows):
+            for m in disjoint:
+                if row[m] in s2:
+                    t_by_m.setdefault(m, []).append(t)
+        self.t_by_m = {m: tuple(ts) for m, ts in t_by_m.items()}
 
 
 @lru_cache(maxsize=None)
@@ -259,15 +254,6 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
     relabeling whose image could start at rank 0.  A beating image must put
     a small-rank matching in second position, so only stabilizer elements
     achieving that (precomputed in t_by_m) need full comparison."""
-    if ctx.stab_rows is None:
-        matchings, index = ctx.matchings, ctx.index
-        for mlist in per_factor:
-            pts = [matchings[m] for m in mlist]
-            for sigma in ctx.stab_perms:
-                seq = sorted(index[_apply_perm(sigma, p)] for p in pts)
-                if seq < ranks:
-                    return True
-        return False
     t_by_m = ctx.t_by_m
     rows = ctx.stab_rows
     for mlist in per_factor:
@@ -285,10 +271,11 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
 
 def enumerate_factorizations(n: int) -> list[OneFactorization]:
     """Isomorphism-class representatives of the 1-factorizations of K_2n,
-    in deterministic canonical order.  Supported for 2 <= n <= 6; n = 6 is
-    accepted but has no runtime guarantee."""
-    if not isinstance(n, int) or not 2 <= n <= 6:
-        raise FactorizationError(f"n = {n!r} out of supported range 2..6")
+    in deterministic canonical order.  Supported for 2 <= n <= 5, that is
+    K4 to K10 (396 classes), matching classify.MAX_K = 10; K12, with
+    526,915,620 classes, is refused."""
+    if not isinstance(n, int) or not 2 <= n <= 5:
+        raise FactorizationError(f"n = {n!r} out of supported range 2..5")
     ctx = _context(n)
     n2 = ctx.n2
     matchings = ctx.matchings
@@ -402,28 +389,62 @@ def closure(fact: OneFactorization) -> ClosureResult:
     """Grow the triangle triples by uniting members sharing at least two
     factors, to a fixpoint.  contains_all reports whether the full factor
     set is reached, which forces all focus points of any embedding onto
-    one line."""
+    one line.
+
+    Rounds are semi-naive: a round unites only pairs with a member added
+    by the previous round (the triples count as added before round one),
+    since the union of two older members is already in the family.  depth
+    counts the rounds that add members, exactly as if every round united
+    all pairs.  Each new member a is matched against the family in the
+    cheaper of two directions: push scans the family for members b
+    meeting a in two or more factors; pull walks the 2^(k - |a|) proper
+    supersets a | c and keeps one when some member c | s with s a subset
+    of a, |s| >= 2, witnesses it.  Pull is chosen when
+    8 * 2^(k - |a|) < |family|, which favours it for large a late on."""
     k = fact.n_factors
-    to_mask = lambda s: sum(1 << (i - 1) for i in s)
-    family = {to_mask(t) for t in triangle_triples(fact)}
+    full = (1 << k) - 1
+    family = {sum(1 << (i - 1) for i in t) for t in triangle_triples(fact)}
+    added = list(family)
     depth = 0
     while True:
-        fam = sorted(family)
+        size = len(family)
         new = set()
-        for i, a in enumerate(fam):
-            for b in fam[i + 1 :]:
-                if (a & b).bit_count() >= 2:
-                    u = a | b
-                    if u not in family:
-                        new.add(u)
+        for a in added:
+            outside = full ^ a
+            if 8 << outside.bit_count() < size:  # pull
+                c = outside
+                while c:
+                    u = a | c
+                    if u not in family and u not in new:
+                        s = (a - 1) & a
+                        while s:
+                            if s & (s - 1) and c | s in family:
+                                new.add(u)
+                                break
+                            s = (s - 1) & a
+                    c = (c - 1) & outside
+            else:  # push
+                for b in family:
+                    x = a & b
+                    if x & (x - 1):
+                        u = a | b
+                        if u not in family:
+                            new.add(u)
         if not new:
             break
         family |= new
+        added = new
         depth += 1
-    full = (1 << k) - 1
-    out = frozenset(
-        frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in family
-    )
+    # masks to factor sets through the index tuples of their low and high
+    # halves, 2^(k/2) entries each
+    h = k // 2
+    low, high = [()], [()]
+    for i in range(h):
+        low += [s + (i + 1,) for s in low]
+    for i in range(h, k):
+        high += [s + (i + 1,) for s in high]
+    lmask = (1 << h) - 1
+    out = frozenset(frozenset(low[m & lmask] + high[m >> h]) for m in family)
     return ClosureResult(out, full in family, depth)
 
 

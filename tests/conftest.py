@@ -6,6 +6,10 @@ import pytest
 
 from hyperarcs.onefact import enumerate_factorizations
 
+# The q = 8 checks of the paper's example: that example does not exist over
+# GF(8) (see README), so these fail by design.
+EXPECTED_FAILURES = frozenset({"A3c", "A4a", "A7a"})
+
 _ACCEPT_META: dict[str, tuple[str, str]] = {}
 _ACCEPT_RESULTS: dict[str, tuple[str, bool, str]] = {}
 
@@ -31,15 +35,30 @@ def pytest_runtest_logreport(report):
         _ACCEPT_RESULTS[report.nodeid] = (ident, report.passed, title)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, config):
     if not _ACCEPT_RESULTS:
         return
     terminalreporter.write_sep("=", "acceptance criteria")
-    for _, (ident, passed, title) in sorted(
+    verdicts = {}
+    for nodeid, (ident, passed, title) in sorted(
         _ACCEPT_RESULTS.items(), key=lambda kv: kv[1][0]
     ):
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{ident} {verdict}  {title}")
+        verdicts[ident] = {"verdict": verdict, "title": title, "test": nodeid}
+    # None under -p no:cacheprovider
+    cache = getattr(config, "cache", None)
+    if cache is not None:
+        cache.set("hyperarcs/acceptance", verdicts)
+    unexpected = [
+        f"{ident} {v['verdict']}"
+        for ident, v in verdicts.items()
+        if (v["verdict"] == "FAIL") != (ident in EXPECTED_FAILURES)
+    ]
+    terminalreporter.write_line(
+        "unexpected verdicts: " + (", ".join(unexpected) or "none")
+        + f" (failing by design: {', '.join(sorted(EXPECTED_FAILURES))})"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,9 @@ def test_a2_k10_closure(k10_catalog):
     assert len(results) == 396
     max_depth = max(res.depth for res in results)
     assert max_depth == 3  # frozen from the first verified run
+    assert {res.depth for res in results} == {3}
+    sizes = [len(res.family) for res in results]
+    assert (sum(sizes), min(sizes), max(sizes)) == (176_261, 404, 466)
     assert elapsed < 60.0
     print(f"\nA2 all 396 closures complete, max depth {max_depth}, {elapsed:.1f}s")
 

@@ -77,6 +77,7 @@ def test_leaf_help_exits_0(capsys, leaf):
         ["arc", "complete", "--r", "6", "--s", "0"],
         ["--out", "{missing}/x.json", "field", "--r", "4"],
         ["classify", "--q", "16", "--max-k", "12"],
+        ["onefact", "enumerate", "--n", "6"],
     ],
 )
 def test_bad_input_is_exit_2_with_message(tmp_path, capsys, argv):

@@ -169,6 +169,8 @@ def test_enumerate_rejects_bad_n():
     with pytest.raises(FactorizationError):
         enumerate_factorizations(1)
     with pytest.raises(FactorizationError):
+        enumerate_factorizations(6)  # K12: 526,915,620 classes
+    with pytest.raises(FactorizationError):
         enumerate_factorizations(7)
 
 
@@ -297,6 +299,85 @@ def test_closure_family_members_at_least_three():
     for fact in enumerate_factorizations(4):
         res = closure(fact)
         assert all(len(a) >= 3 for a in res.family)
+
+
+def reference_closure(fact):
+    """Oracle: every round unites all pairs of the family sharing two
+    factors, until a round adds nothing."""
+    k = fact.n_factors
+    family = {sum(1 << (i - 1) for i in t) for t in triangle_triples(fact)}
+    depth = 0
+    while True:
+        fam = sorted(family)
+        new = set()
+        for i, a in enumerate(fam):
+            for b in fam[i + 1 :]:
+                if (a & b).bit_count() >= 2 and a | b not in family:
+                    new.add(a | b)
+        if not new:
+            break
+        family |= new
+        depth += 1
+    out = frozenset(
+        frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in family
+    )
+    return out, (1 << k) - 1 in family, depth
+
+
+def round_robin(n2):
+    """The factorization GK_n2: vertex n2 is the centre, and factor i pairs
+    it with i and pairs i - j with i + j modulo n2 - 1."""
+    m = n2 - 1
+    return OneFactorization(n2, tuple(
+        ((i + 1, n2),)
+        + tuple(((i - j) % m + 1, (i + j) % m + 1) for j in range(1, n2 // 2))
+        for i in range(m)
+    ))
+
+
+def relabeled(fact, rng):
+    perm = list(range(1, fact.n_vertices + 1))
+    rng.shuffle(perm)
+    factors = [
+        tuple((perm[u - 1], perm[v - 1]) for u, v in f) for f in fact.factors
+    ]
+    rng.shuffle(factors)
+    return OneFactorization(fact.n_vertices, tuple(factors))
+
+
+def assert_closure_matches_reference(fact):
+    res = closure(fact)
+    assert (res.family, res.contains_all, res.depth) == reference_closure(fact)
+
+
+@pytest.mark.parametrize(
+    "fact", [K6, CASE1, CASE2, round_robin(12)], ids=["K6", "CASE1", "CASE2", "GK12"]
+)
+def test_closure_matches_reference_fixpoint(fact):
+    assert_closure_matches_reference(fact)
+
+
+def test_closure_matches_reference_fixpoint_on_k8_catalog(k8_catalog):
+    for fact in k8_catalog:
+        assert_closure_matches_reference(fact)
+
+
+def test_closure_matches_reference_fixpoint_on_k10_sample(k10_catalog):
+    k10, _ = k10_catalog
+    rng = random.Random(5)
+    for fact in rng.sample(k10, 20):
+        assert_closure_matches_reference(relabeled(fact, rng))
+
+
+def test_closure_counts_frozen(k8_catalog):
+    # (contains_all, depth, family size), frozen from the all-pairs fixpoint
+    assert [
+        (res.contains_all, res.depth, len(res.family))
+        for res in map(closure, k8_catalog)
+    ] == [(False, 0, 7), (True, 3, 49), (True, 3, 72), (True, 3, 60),
+          (True, 3, 90), (True, 3, 99)]
+    res = closure(K6)
+    assert (res.contains_all, res.depth, len(res.family)) == (True, 2, 16)
 
 
 def test_closure_survey_shape():
