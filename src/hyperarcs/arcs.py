@@ -142,7 +142,7 @@ def _collinear_triple(spec, pts):
     for i, p in enumerate(pts):
         seen: dict[Line, Point] = {}
         for q in pts[i + 1 :]:
-            line = pp.line_through(spec, p, q)
+            line = pp._line_through(spec, p, q)
             if line in seen:
                 return (p, seen[line], q)
             seen[line] = q
@@ -247,7 +247,7 @@ def secants(arc: Arc) -> tuple[Line, ...]:
         raise ArcError("secants need at least two points")
     spec = arc.spec
     return tuple(
-        pp.line_through(spec, p, q) for p, q in combinations(arc.points, 2)
+        pp._line_through(spec, p, q) for p, q in combinations(arc.points, 2)
     )
 
 
@@ -265,11 +265,30 @@ def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
 
 def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
     """True when the line avoids the arc and the secants cut it in exactly
-    k - 1 points (the minimum possible for a k-arc)."""
+    k - 1 points (the minimum possible for a k-arc).
+
+    The secant pq meets the line l at l x (p x q) = (l.q) p + (l.p) q
+    (characteristic two), so the k dot products l.p are taken once, a zero
+    one meaning l passes through an arc point, and each pair costs one
+    normalized combination; no secant or meet is built."""
     spec = arc.spec
-    if any(pp.incident(spec, p, line) for p in arc.points):
-        return False
-    hits = {pp.meet(spec, line, s) for s in secants(arc)}
+    exp, log = spec.exp, spec.log
+    dots = []
+    for p in arc.points:
+        d = pp._dot(exp, log, p, line)
+        if d == 0:
+            return False
+        dots.append(log[d])
+    if len(dots) < 2:
+        raise ArcError("secants need at least two points")
+    terms = [(dp, log[p[0]], log[p[1]], log[p[2]]) for dp, p in zip(dots, arc.points)]
+    hits = {
+        pp._normalize_fast(
+            spec, exp[dq + p0] ^ exp[dp + q0], exp[dq + p1] ^ exp[dp + q1],
+            exp[dq + p2] ^ exp[dp + q2],
+        )
+        for (dp, p0, p1, p2), (dq, q0, q1, q2) in combinations(terms, 2)
+    }
     return len(hits) == len(arc) - 1
 
 

@@ -60,15 +60,38 @@ class BlockingSet:
         }
 
 
+def _secant_masks(spec: FieldSpec, lines) -> dict[Point, int]:
+    """Each point on a secant, mapped to the bitmask of the secants through
+    it (bit i for lines[i]), by walking every secant's q + 1 points."""
+    masks: dict[Point, int] = {}
+    for idx, line in enumerate(lines):
+        bit = 1 << idx
+        for p in pp.line_points(spec, line):
+            masks[p] = masks.get(p, 0) | bit
+    return masks
+
+
+def _point_masks(spec: FieldSpec, lines, points) -> dict[Point, int]:
+    """Each given point, coordinates checked, mapped to the bitmask of the
+    lines through it (bit i for lines[i]).  By incidence, so the cost does
+    not grow with q, unlike a walk along the lines."""
+    masks = {}
+    for p in points:
+        spec.check(*p)
+        masks[p] = sum(1 << i for i, line in enumerate(lines) if pp._incident(spec, p, line))
+    return masks
+
+
 def is_blocking(arc: Arc, points) -> bool:
     """Every secant meets the point set; the set must avoid the arc."""
     pts = set(points)
     if pts & set(arc.points):
         raise BlockingError("blocking set intersects the arc")
-    spec = arc.spec
-    return all(
-        any(pp.incident(spec, p, line) for p in pts) for line in secants(arc)
-    )
+    lines = secants(arc)
+    covered = 0
+    for mask in _point_masks(arc.spec, lines, pts).values():
+        covered |= mask
+    return covered == (1 << len(lines)) - 1
 
 
 def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
@@ -76,9 +99,10 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
 
     Odd k admits none (an external point covers at most (k-1)/2 < k/2
     secants, so k - 1 of them cannot reach k(k-1)/2).  For even k the
-    candidates are the external points on exactly k/2 secants, and the
-    search is an exact cover of the secants, branching on the secant with
-    fewest remaining candidates.
+    candidates are the external points on exactly k/2 secants, found by
+    walking the q + 1 points of each secant (k(k-1)/2 * (q+1) visits, not a
+    scan of the whole plane), and the search is an exact cover of the
+    secants, branching on the secant with fewest remaining candidates.
     """
     k = len(arc)
     if k < 3:
@@ -87,17 +111,9 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
         return []
     spec = arc.spec
     lines = secants(arc)
-    arc_pts = set(arc.points)
-    candidates = []
-    for p in pp.all_points(spec):
-        if p in arc_pts:
-            continue
-        mask = 0
-        for idx, line in enumerate(lines):
-            if pp.incident(spec, p, line):
-                mask |= 1 << idx
-        if mask.bit_count() == k // 2:
-            candidates.append((p, mask))
+    masks = _secant_masks(spec, lines)
+    # an arc point lies on k - 1 > k/2 secants, so the count excludes it
+    candidates = sorted((p, m) for p, m in masks.items() if m.bit_count() == k // 2)
 
     full = (1 << len(lines)) - 1
     by_secant: list[list[int]] = [[] for _ in lines]
@@ -140,23 +156,23 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     out = [BlockingSet(spec, pts, arc) for pts in solutions]
     out.sort(key=lambda b: b.points)
     for b in out:
-        _assert_minimum_counting(arc, b)
+        _assert_minimum_counting(b, masks, k)
     return out
 
 
-def _assert_minimum_counting(arc: Arc, blocking: BlockingSet) -> None:
-    """The forced structure at minimum size: one blocker per secant, k/2
-    secants per blocker."""
-    spec = arc.spec
-    k = len(arc)
-    per_point = {p: 0 for p in blocking.points}
-    for line in secants(arc):
-        hits = [p for p in blocking.points if pp.incident(spec, p, line)]
-        if len(hits) != 1:
-            raise BlockingError(f"secant {line} carries {len(hits)} blockers")
-        per_point[hits[0]] += 1
-    if any(c != k // 2 for c in per_point.values()):
-        raise BlockingError("a blocker misses its k/2 secant count")
+def _assert_minimum_counting(blocking: BlockingSet, masks: dict[Point, int], k: int) -> None:
+    """The forced structure at minimum size, read off the blockers' secant
+    masks: k/2 secants per blocker, one blocker per secant."""
+    covered = 0
+    for p in blocking.points:
+        m = masks.get(p, 0)
+        if m.bit_count() != k // 2:
+            raise BlockingError("a blocker misses its k/2 secant count")
+        if m & covered:
+            raise BlockingError("a secant carries two blockers")
+        covered |= m
+    if covered != (1 << (k * (k - 1) // 2)) - 1:
+        raise BlockingError("a secant carries no blocker")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +199,7 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
     arc = translation_arc(group)
     if lam_center in arc:
         raise BlockingError("homology center lies on the arc")
-    image = [pp.apply_point(spec, phi, p) for p in arc.points]
+    image = [pp._apply_point(spec, phi, p) for p in arc.points]
     try:
         union = Arc(spec, arc.points + tuple(image))
     except ArcError as exc:
@@ -263,9 +279,9 @@ def is_fano_configuration(spec: FieldSpec, points) -> bool:
     if len(pts) != 7:
         return False
     for p, q in combinations(pts, 2):
-        line = pp.line_through(spec, p, q)
+        line = pp._line_through(spec, p, q)
         others = sum(
-            1 for s in pts if s not in (p, q) and pp.incident(spec, s, line)
+            1 for s in pts if s not in (p, q) and pp._incident(spec, s, line)
         )
         if others != 1:
             return False
@@ -278,18 +294,18 @@ def is_fano_configuration(spec: FieldSpec, points) -> bool:
 
 def secant_blocker_map(arc: Arc, blocking: BlockingSet) -> dict:
     """Unique blocker per secant; raises unless the set is minimum-size."""
-    spec = arc.spec
     if set(blocking.points) & set(arc.points):
         raise BlockingError("blocking set intersects the arc")
     if len(blocking) != len(arc) - 1:
         raise BlockingError("not a minimum-size blocking set")
+    lines = secants(arc)
+    masks = _point_masks(arc.spec, lines, blocking.points)
     mapping = {}
-    for p, q in combinations(arc.points, 2):
-        line = pp.line_through(spec, p, q)
-        hits = [b for b in blocking.points if pp.incident(spec, b, line)]
+    for idx, (line, pair) in enumerate(zip(lines, combinations(arc.points, 2))):
+        hits = [b for b, mask in masks.items() if mask >> idx & 1]
         if len(hits) != 1:
             raise BlockingError(f"secant {line} carries {len(hits)} blockers")
-        mapping[frozenset((p, q))] = hits[0]
+        mapping[frozenset(pair)] = hits[0]
     return mapping
 
 

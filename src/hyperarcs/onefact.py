@@ -569,7 +569,7 @@ def embed_search(
         for u, up in state_pos.items():
             if up == p:
                 return None
-            line = pp.line_through(spec, p, up)
+            line = pp._line_through(spec, p, up)
             if line in lines_seen:
                 return None
             lines_seen.add(line)
@@ -581,10 +581,10 @@ def embed_search(
             if u == v:
                 continue
             fi = edge_factor[(v, u)]
-            line = pp.line_through(spec, p, up)
+            line = pp._line_through(spec, p, up)
             focus = state_focus.get(fi)
             if focus is not None:
-                if not pp.incident(spec, focus, line):
+                if not pp._incident(spec, focus, line):
                     _undo(undo)
                     return None
                 continue
@@ -599,13 +599,13 @@ def embed_search(
             )
             if other is None:
                 continue
-            other_line = pp.line_through(
+            other_line = pp._line_through(
                 spec, state_pos[other[0]], state_pos[other[1]]
             )
             if other_line == line:
                 _undo(undo)
                 return None
-            focus = pp.meet(spec, line, other_line)
+            focus = pp._meet(spec, line, other_line)
             if focus in used:
                 _undo(undo)
                 return None
@@ -628,7 +628,7 @@ def embed_search(
             fi = edge_factor[(v, u)]
             focus = state_focus.get(fi)
             if focus is not None:
-                constraint_lines.append(pp.line_through(spec, focus, up))
+                constraint_lines.append(pp._line_through(spec, focus, up))
         if not constraint_lines:
             return all_pts
         pts = set(pp.line_points(spec, constraint_lines[0]))

@@ -85,17 +85,37 @@ def _cross(exp, log, u, v) -> tuple[int, int, int]:
     )
 
 
+# Each public name below checks its coordinates, then calls the unchecked
+# kernel of the same name with a leading underscore; library code calls the
+# kernels.
+
+
 def incident(spec: FieldSpec, point: Point, line: Line) -> bool:
+    spec.check(*point, *line)
+    return _incident(spec, point, line)
+
+
+def _incident(spec: FieldSpec, point: Point, line: Line) -> bool:
     return _dot(spec.exp, spec.log, point, line) == 0
 
 
 def line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
+    spec.check(*p, *q)
+    return _line_through(spec, p, q)
+
+
+def _line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
     if p == q:
         raise GeometryError("no unique line through a repeated point")
     return _normalize_fast(spec, *_cross(spec.exp, spec.log, p, q))
 
 
 def meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
+    spec.check(*l1, *l2)
+    return _meet(spec, l1, l2)
+
+
+def _meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
     if l1 == l2:
         raise GeometryError("no unique meet of a repeated line")
     return _normalize_fast(spec, *_cross(spec.exp, spec.log, l1, l2))
@@ -115,8 +135,8 @@ def is_linear(spec: FieldSpec, points) -> bool:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return True
-    line = line_through(spec, pts[0], pts[1])
-    return all(incident(spec, p, line) for p in pts[2:])
+    line = _line_through(spec, pts[0], pts[1])
+    return all(_incident(spec, p, line) for p in pts[2:])
 
 
 def all_points(spec: FieldSpec) -> list[Point]:
@@ -182,6 +202,13 @@ def matrix_make(spec: FieldSpec, rows) -> Matrix:
 
 
 def apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
+    for row in mat:
+        spec.check(*row)
+    spec.check(*p)
+    return _apply_point(spec, mat, p)
+
+
+def _apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
     exp, log = spec.exp, spec.log
     return _normalize_fast(
         spec, _dot(exp, log, mat[0], p), _dot(exp, log, mat[1], p), _dot(exp, log, mat[2], p)

@@ -217,6 +217,58 @@ def test_three_arcs_are_never_hyperfocused():
         count += 1
 
 
+def hyperfocused_by_definition(arc, line):
+    """Oracle: the line avoids the arc, and the distinct meets of the line
+    with the secants number k - 1."""
+    spec = arc.spec
+    if any(pp.incident(spec, p, line) for p in arc.points):
+        return False
+    hits = {pp.meet(spec, line, s) for s in secants(arc)}
+    return len(hits) == len(arc) - 1
+
+
+def random_arc(spec, rng, k):
+    """A k-arc grown from shuffled points, each added off the secants of
+    those before; retried when the growth gets stuck below k."""
+    while True:
+        pts = pp.all_points(spec)
+        rng.shuffle(pts)
+        chosen, covered = [], set()
+        for p in pts:
+            if p in covered:
+                continue
+            for a in chosen:
+                covered.update(pp.line_points(spec, pp.line_through(spec, a, p)))
+            chosen.append(p)
+            if len(chosen) == k:
+                return Arc(spec, tuple(chosen))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_hyperfocus_matches_definition_on_random_arcs(r):
+    spec = field_make(r)
+    rng = random.Random(70 + r)
+    lines = pp.all_lines(spec)
+    cases = [random_arc(spec, rng, k) for k in range(2, min(spec.q + 2, 10) + 1)
+             for _ in range(3)]
+    cases.append(translation_arc(quad_group(spec)))
+    through, verdicts = 0, set()
+    for arc in cases:
+        for line in lines:
+            expected = hyperfocused_by_definition(arc, line)
+            assert is_hyperfocused_line(arc, line) == expected, (arc.points, line)
+            through += any(pp.incident(spec, p, line) for p in arc.points)
+            verdicts.add(expected)
+    assert through and verdicts == {True, False}
+
+
+def test_hyperfocus_needs_two_points():
+    line = pp.LINE_AT_INFINITY
+    for pts in ((), ((0, 0, 1),)):
+        with pytest.raises(ArcError):
+            is_hyperfocused_line(Arc(GF8, pts), line)
+
+
 def test_hyperfocused_membership_matches_full_scan():
     arc = conic_translation_arc(GF8, [1, 2])
     full = hyperfocused_lines(arc)

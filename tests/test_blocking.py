@@ -1,9 +1,10 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from hyperarcs.gf2 import field_make
+from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
 from hyperarcs.arcs import Arc, conic_translation_arc, subgroup_make, translation_arc
 from hyperarcs.blocking import (
@@ -80,6 +81,13 @@ def test_blocking_set_must_avoid_arc():
         is_blocking(arc, ((0, 0, 1),))
 
 
+def test_blocking_checks_reject_bad_coordinates():
+    arc = quad_arc(GF8)
+    for bad in (-1, 8):
+        with pytest.raises(FieldError):
+            is_blocking(arc, ((0, bad, 1),))
+
+
 def test_is_linear_small_sets():
     assert pp.is_linear(GF8, [(1, 0, 0)])
     assert pp.is_linear(GF8, [(1, 0, 0), (0, 1, 0)])
@@ -124,6 +132,22 @@ def test_min_blocking_random_arcs_match_brute_force_gf4():
         assert {b.points for b in min_blocking_sets(arc)} == brute_min_blocking(arc)
 
 
+def test_min_blocking_random_four_arcs_match_brute_force_gf8():
+    # C(69, 3) = 52,394 candidate sets per arc for the oracle
+    rng = random.Random(8)
+    pts = pp.all_points(GF8)
+    tried = 0
+    while tried < 10:
+        try:
+            arc = Arc(GF8, tuple(rng.sample(pts, 4)))
+        except Exception:
+            continue
+        tried += 1
+        found = {b.points for b in min_blocking_sets(arc)}
+        assert found == brute_min_blocking(arc)
+        assert found
+
+
 def test_solver_recovers_constructed_set_q16():
     # the doubled-quadrangle blocking set turns up in the general search
     arc, bset, _ = ghf_eight(GF16)
@@ -141,6 +165,80 @@ def test_hyperoval_blocking_sets_are_external_lines():
     found = {b.points for b in min_blocking_sets(oval)}
     assert found == brute_min_blocking(oval)
     assert found  # hyperfocused: external lines provide linear sets
+
+
+def secant_hits_by_incidence(arc, points):
+    """Oracle: each secant, in pair order, with the points of the set on it."""
+    spec = arc.spec
+    rows = []
+    for p, q in combinations(arc.points, 2):
+        line = pp.line_through(spec, p, q)
+        rows.append(((p, q), line, [b for b in points if pp.incident(spec, b, line)]))
+    return rows
+
+
+def check_against_incidence(arc, points):
+    """is_blocking and secant_blocker_map agree with the oracle; returns the
+    largest number of the set's points on one secant."""
+    rows = secant_hits_by_incidence(arc, points)
+    assert is_blocking(arc, points) == all(hits for _, _, hits in rows)
+    bset = BlockingSet(arc.spec, tuple(points), arc)
+    bad = next(((line, hits) for _, line, hits in rows if len(hits) != 1), None)
+    if len(bset) != len(arc) - 1:
+        with pytest.raises(BlockingError, match="not a minimum-size"):
+            secant_blocker_map(arc, bset)
+    elif bad is None:
+        assert secant_blocker_map(arc, bset) == {
+            frozenset(pair): hits[0] for pair, _, hits in rows
+        }
+    else:
+        line, hits = bad
+        with pytest.raises(BlockingError, match=re.escape(f"secant {line} carries {len(hits)} ")):
+            secant_blocker_map(arc, bset)
+    return max(len(hits) for _, _, hits in rows)
+
+
+def test_blocking_checks_match_incidence():
+    rng = random.Random(27)
+    pts8 = pp.all_points(GF8)
+    conic4 = [(x, GF4.mul(x, x), 1) for x in GF4.elements()]
+    cases = [
+        quad_arc(GF8),
+        conic_translation_arc(GF8, [1, 2, 4]),
+        Arc(GF4, tuple(conic4) + ((0, 1, 0), (1, 0, 0))),
+        ghf_eight(GF16)[0],
+    ]
+    while len(cases) < 8:
+        try:
+            cases.append(Arc(GF8, tuple(rng.sample(pts8, 6))))
+        except Exception:
+            continue
+    verdicts, doubled = set(), 0
+    for arc in cases:
+        spec = arc.spec
+        external = [p for p in pp.all_points(spec) if p not in arc.points]
+        for bset in min_blocking_sets(arc)[:3]:
+            assert check_against_incidence(arc, bset.points) == 1
+            check_against_incidence(arc, bset.points[1:])  # too small to block
+            # swap the first blocker for a second point on a secant of another
+            (p, q), _ = next(
+                (pair, b)
+                for pair, b in secant_blocker_map(arc, bset).items()
+                if b != bset.points[0]
+            )
+            extra = next(
+                x
+                for x in pp.line_points(spec, pp.line_through(spec, p, q))
+                if x not in arc.points and x not in bset.points
+            )
+            swapped = bset.points[1:] + (extra,)
+            assert check_against_incidence(arc, swapped) == 2
+            doubled += 1
+        for _ in range(20):
+            sample = rng.sample(external, len(arc) - 1)
+            verdicts.add(is_blocking(arc, sample))
+            check_against_incidence(arc, sample)
+    assert doubled and False in verdicts
 
 
 # ---------------------------------------------------------------------------

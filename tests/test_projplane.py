@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperarcs.gf2 import field_make
+from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
 
 
@@ -72,6 +72,25 @@ def test_line_through_example():
 def test_line_through_repeated_point_rejected():
     with pytest.raises(pp.GeometryError):
         pp.line_through(GF8, (1, 1, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_public_incidence_rejects_bad_coordinates(bad):
+    # -1 would read log[-1] and q would index past the log table; both are
+    # FieldError at the public names, in either argument
+    good = (1, 1, 1)
+    wrong = (0, bad, 1)
+    for first, second in ((wrong, good), (good, wrong)):
+        with pytest.raises(FieldError):
+            pp.line_through(GF4, first, second)
+        with pytest.raises(FieldError):
+            pp.meet(GF4, first, second)
+        with pytest.raises(FieldError):
+            pp.incident(GF4, first, second)
+    with pytest.raises(FieldError):
+        pp.apply_point(GF4, pp.IDENTITY, wrong)
+    with pytest.raises(FieldError):
+        pp.apply_point(GF4, ((1, 0, 0), (0, 1, 0), (0, 0, bad)), good)
 
 
 def test_collinear_at_infinity():
