@@ -306,7 +306,7 @@ def _secant_point_set(arc: Arc) -> set[Point]:
     spec = arc.spec
     covered: set[Point] = set()
     for line in secants(arc):
-        covered.update(pp.line_points(spec, line))
+        covered.update(pp._line_points(spec, line))
     return covered
 
 
@@ -537,7 +537,7 @@ def hyperoval_containment(arc: Arc):
     on_secant = _secant_point_set(arc)
     candidates = [
         p
-        for p in pp.line_points(spec, LINE_AT_INFINITY)
+        for p in pp._line_points(spec, LINE_AT_INFINITY)
         if p not in on_secant and p not in arc
     ]
     need = q + 2 - k

@@ -50,7 +50,7 @@ class BlockingSet:
 
     @property
     def linear(self) -> bool:
-        return pp.is_linear(self.spec, self.points)
+        return pp._is_linear(self.spec, self.points)
 
     def to_json(self) -> dict:
         return {
@@ -66,7 +66,7 @@ def _secant_masks(spec: FieldSpec, lines) -> dict[Point, int]:
     masks: dict[Point, int] = {}
     for idx, line in enumerate(lines):
         bit = 1 << idx
-        for p in pp.line_points(spec, line):
+        for p in pp._line_points(spec, line):
             masks[p] = masks.get(p, 0) | bit
     return masks
 
@@ -319,7 +319,7 @@ def triangle_collinearity(arc: Arc, blocking: BlockingSet):
         q1 = blocker_of[frozenset((p2, p3))]
         q2 = blocker_of[frozenset((p1, p3))]
         q3 = blocker_of[frozenset((p1, p2))]
-        if not pp.collinear(spec, q1, q2, q3):
+        if not pp._collinear(spec, q1, q2, q3):
             return False, tri
     return True, None
 

@@ -5,17 +5,18 @@ Two are isomorphic when a vertex relabeling maps one factor set onto the
 other.  Enumeration up to isomorphism is by orderly generation: factors are
 added in lexicographic order and a partial object survives only if no
 relabeling yields a lexicographically smaller image, so exactly the minimal
-representative of every class reaches full length.
+representative of every class reaches full length.  Enumeration and
+canonical forms cover K4 to K10.
 
 The triple-closure machinery lives here too: triangles induce 3-sets of
 factors whose embedded focus points must be collinear, and unioning sets
 that share two members propagates that collinearity.  When the closure
 reaches the full factor set, every embedding of the factorization has all
-focus points on one line.  The closure runs in rounds; depth counts the
-rounds that add members.  Each round unites only pairs with a member new in
-the previous round, and matches each new member against the family either
-by pushing (scanning the family) or by pulling (testing its supersets),
-whichever the fixed cost estimate in closure() says is cheaper.
+focus points on one line.  The closure holds its family as one int bitmap
+over all 2^k subsets of the k factors and unites each new member with
+every member it meets in two or more factors by a few shifts and masks.
+It runs in rounds; depth counts the rounds that add members, and each
+round unites only pairs with a member new in the previous round.
 
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
@@ -208,37 +209,34 @@ class _EnumContext:
         for i, m in enumerate(self.matchings):
             self.bucket[m[0]].append(i)
 
-        self.stab_perms = _stabilizer_of_identity(n)
-        if n > 5:
-            # K_12 and up is never enumerated; canonical_form applies the
-            # permutations directly there, because the action table would
-            # not fit in memory
-            self.stab_rows = None
-            return
         matchings = self.matchings
         index = self.index
         mask0 = self.masks[0]
         valid2 = [m for m in self.bucket[2] if not self.masks[m] & mask0]
         self.stab_rows = [
             [index[_apply_perm(sigma, m)] for m in matchings]
-            for sigma in self.stab_perms
+            for sigma in _stabilizer_of_identity(n)
         ]
         # canonical second factors: minimal in their stabilizer orbit
         # among matchings disjoint from the identity factor
         self.reps2 = {
             m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
         }
-        r2max = max(self.reps2)
-        s2 = {m for m in valid2 if m <= r2max}
-        # for every matching disjoint from the identity: which stabilizer
-        # elements send it into the small-rank set s2
-        t_by_m: dict[int, list[int]] = {}
+        # for each canonical second factor r and every matching disjoint
+        # from the identity: which stabilizer elements send it to a
+        # bucket-2 matching of rank at most r
+        reps2 = sorted(self.reps2)
+        below = {m: [r for r in reps2 if m <= r] for m in valid2}
+        t_by_m: dict[int, dict[int, list[int]]] = {r: {} for r in reps2}
         disjoint = [i for i, mk in enumerate(self.masks) if not mk & mask0]
         for t, row in enumerate(self.stab_rows):
             for m in disjoint:
-                if row[m] in s2:
-                    t_by_m.setdefault(m, []).append(t)
-        self.t_by_m = {m: tuple(ts) for m, ts in t_by_m.items()}
+                for r in below.get(row[m], ()):
+                    t_by_m[r].setdefault(m, []).append(t)
+        self.t_by_m = {
+            r: {m: tuple(ts) for m, ts in table.items()}
+            for r, table in t_by_m.items()
+        }
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +250,10 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
     of all current factors under the fixed map sending factor i onto the
     identity matching; composing with stabilizer elements covers every
     relabeling whose image could start at rank 0.  A beating image must put
-    a small-rank matching in second position, so only stabilizer elements
-    achieving that (precomputed in t_by_m) need full comparison."""
-    t_by_m = ctx.t_by_m
+    a bucket-2 matching of rank at most ranks[1] in second position, so
+    only stabilizer elements achieving that (precomputed in t_by_m) need
+    full comparison."""
+    t_by_m = ctx.t_by_m[ranks[1]]
     rows = ctx.stab_rows
     for mlist in per_factor:
         cands: set[int] = set()
@@ -326,9 +325,10 @@ def _ranks_to_factorization(ctx: _EnumContext, ranks) -> OneFactorization:
 def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
     """Canonical representative of the isomorphism class: the factor tuple
     of the lexicographically least relabeled image.  Invariant under vertex
-    permutation and factor reorder."""
+    permutation and factor reorder.  Supported for 4 to 10 vertices, the
+    range enumerate_factorizations covers."""
     n2 = fact.n_vertices
-    if n2 % 2 or not 4 <= n2 <= 12:
+    if n2 % 2 or not 4 <= n2 <= 10:
         raise FactorizationError(f"unsupported vertex count {n2}")
     ctx = _context(n2 // 2)
     mine = []
@@ -341,17 +341,10 @@ def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
     for i in range(len(mine)):
         sig = _sigma_onto_identity(ctx.matchings[mine[i]])
         base = [ctx.index[_apply_perm(sig, ctx.matchings[m])] for m in mine]
-        if ctx.stab_rows is None:
-            base_pts = [ctx.matchings[m] for m in base]
-            for sigma in ctx.stab_perms:
-                seq = sorted(ctx.index[_apply_perm(sigma, p)] for p in base_pts)
-                if best is None or seq < best:
-                    best = seq
-        else:
-            for row in ctx.stab_rows:
-                seq = sorted(row[m] for m in base)
-                if best is None or seq < best:
-                    best = seq
+        for row in ctx.stab_rows:
+            seq = sorted(row[m] for m in base)
+            if best is None or seq < best:
+                best = seq
     return _ranks_to_factorization(ctx, best).factors
 
 
@@ -385,55 +378,59 @@ def triangle_triples(fact: OneFactorization) -> frozenset[frozenset[int]]:
     return frozenset(triples)
 
 
+def _set_bits(bits: int) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def closure(fact: OneFactorization) -> ClosureResult:
     """Grow the triangle triples by uniting members sharing at least two
     factors, to a fixpoint.  contains_all reports whether the full factor
     set is reached, which forces all focus points of any embedding onto
     one line.
 
+    The family is one int over the subset lattice of the k factors: bit m
+    is set when the factor set with mask m is a member.  has[i] holds the
+    bits m whose set contains factor i.  For a member a, counting over its
+    factors which bits meet a once or more and twice or more masks the
+    family to the members b with |a & b| >= 2; then, for each factor i of
+    a, shifting by 2^i moves every such b lacking i to b | {i}, so the
+    masked family becomes every union a | b at once.
+
     Rounds are semi-naive: a round unites only pairs with a member added
     by the previous round (the triples count as added before round one),
     since the union of two older members is already in the family.  depth
     counts the rounds that add members, exactly as if every round united
-    all pairs.  Each new member a is matched against the family in the
-    cheaper of two directions: push scans the family for members b
-    meeting a in two or more factors; pull walks the 2^(k - |a|) proper
-    supersets a | c and keeps one when some member c | s with s a subset
-    of a, |s| >= 2, witnesses it.  Pull is chosen when
-    8 * 2^(k - |a|) < |family|, which favours it for large a late on."""
+    all pairs."""
     k = fact.n_factors
     full = (1 << k) - 1
-    family = {sum(1 << (i - 1) for i in t) for t in triangle_triples(fact)}
-    added = list(family)
+    lattice = (1 << (1 << k)) - 1
+    # blocks of 2^i clear bits then 2^i set bits, from the lowest bit up
+    has = [lattice // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
+    added = {sum(1 << (i - 1) for i in t) for t in triangle_triples(fact)}
+    family = sum(1 << a for a in added)
     depth = 0
     while True:
-        size = len(family)
-        new = set()
+        unions = 0
         for a in added:
-            outside = full ^ a
-            if 8 << outside.bit_count() < size:  # pull
-                c = outside
-                while c:
-                    u = a | c
-                    if u not in family and u not in new:
-                        s = (a - 1) & a
-                        while s:
-                            if s & (s - 1) and c | s in family:
-                                new.add(u)
-                                break
-                            s = (s - 1) & a
-                    c = (c - 1) & outside
-            else:  # push
-                for b in family:
-                    x = a & b
-                    if x & (x - 1):
-                        u = a | b
-                        if u not in family:
-                            new.add(u)
+            factors = _set_bits(a)
+            once = twice = 0
+            for i in factors:
+                twice |= once & has[i]
+                once |= has[i]
+            u = family & twice
+            for i in factors:
+                u = (u | u << (1 << i)) & has[i]
+            unions |= u
+        new = unions & ~family
         if not new:
             break
         family |= new
-        added = new
+        added = _set_bits(new)
         depth += 1
     # masks to factor sets through the index tuples of their low and high
     # halves, 2^(k/2) entries each
@@ -444,8 +441,10 @@ def closure(fact: OneFactorization) -> ClosureResult:
     for i in range(h, k):
         high += [s + (i + 1,) for s in high]
     lmask = (1 << h) - 1
-    out = frozenset(frozenset(low[m & lmask] + high[m >> h]) for m in family)
-    return ClosureResult(out, full in family, depth)
+    out = frozenset(
+        frozenset(low[m & lmask] + high[m >> h]) for m in _set_bits(family)
+    )
+    return ClosureResult(out, bool(family >> full), depth)
 
 
 def closure_survey(facts) -> list[dict]:
@@ -484,7 +483,7 @@ class Embedding:
         if len(set(pts)) != len(pts):
             raise FactorizationError("vertex images not distinct")
         for a, b, c in combinations(pts, 3):
-            if pp.collinear(spec, a, b, c):
+            if pp._collinear(spec, a, b, c):
                 raise FactorizationError("vertex images contain a collinear triple")
         if len(set(self.foci)) != len(self.foci):
             raise FactorizationError("focus images not distinct")
@@ -493,13 +492,13 @@ class Embedding:
         for fi, factor in enumerate(self.fact.factors):
             focus = self.foci[fi]
             for u, v in factor:
-                if not pp.collinear(spec, focus, pts[u - 1], pts[v - 1]):
+                if not pp._collinear(spec, focus, pts[u - 1], pts[v - 1]):
                     raise FactorizationError(
                         f"focus of factor {fi + 1} misses edge ({u},{v})"
                     )
 
     def focus_collinear(self) -> bool:
-        return pp.is_linear(self.spec, self.foci)
+        return pp._is_linear(self.spec, self.foci)
 
     def arc_points(self) -> tuple[Point, ...]:
         return tuple(sorted(self.vertices))
@@ -631,9 +630,9 @@ def embed_search(
                 constraint_lines.append(pp._line_through(spec, focus, up))
         if not constraint_lines:
             return all_pts
-        pts = set(pp.line_points(spec, constraint_lines[0]))
+        pts = set(pp._line_points(spec, constraint_lines[0]))
         for line in constraint_lines[1:]:
-            pts &= set(pp.line_points(spec, line))
+            pts &= set(pp._line_points(spec, line))
         return sorted(pts)
 
     def next_vertex(left: list[int]) -> int:

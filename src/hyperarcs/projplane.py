@@ -122,16 +122,34 @@ def _meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
 
 
 def matrix_det(spec: FieldSpec, rows) -> int:
+    for row in rows:
+        spec.check(*row)
+    return _matrix_det(spec, rows)
+
+
+def _matrix_det(spec: FieldSpec, rows) -> int:
     exp, log = spec.exp, spec.log
     return _dot(exp, log, rows[0], _cross(exp, log, rows[1], rows[2]))
 
 
 def collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
-    return matrix_det(spec, (p, q, r)) == 0
+    spec.check(*p, *q, *r)
+    return _collinear(spec, p, q, r)
+
+
+def _collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
+    return _matrix_det(spec, (p, q, r)) == 0
 
 
 def is_linear(spec: FieldSpec, points) -> bool:
     """True when the points all lie on one line."""
+    points = tuple(points)
+    for p in points:
+        spec.check(*p)
+    return _is_linear(spec, points)
+
+
+def _is_linear(spec: FieldSpec, points) -> bool:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return True
@@ -153,6 +171,11 @@ def all_lines(spec: FieldSpec) -> list[Line]:
 
 def line_points(spec: FieldSpec, line: Line) -> list[Point]:
     """The q + 1 points of a line, via a spanning pair."""
+    spec.check(*line)
+    return _line_points(spec, line)
+
+
+def _line_points(spec: FieldSpec, line: Line) -> list[Point]:
     exp, log = spec.exp, spec.log
     l1, l2, l3 = line
     if l1 == 0 and l2 == 0:
@@ -196,7 +219,7 @@ def matrix_make(spec: FieldSpec, rows) -> Matrix:
     rows = tuple(tuple(row) for row in rows)
     for row in rows:
         spec.check(*row)
-    if matrix_det(spec, rows) == 0:
+    if _matrix_det(spec, rows) == 0:
         raise GeometryError("singular matrix is not a projectivity")
     return _scale_matrix(spec, rows)
 
@@ -226,7 +249,7 @@ def compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
 
 def inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
     """The adjugate, which is the inverse up to the (dropped) factor det."""
-    if matrix_det(spec, mat) == 0:
+    if _matrix_det(spec, mat) == 0:
         raise GeometryError("singular matrix")
     exp, log = spec.exp, spec.log
     r0, r1, r2 = mat
@@ -302,10 +325,10 @@ def _check_frame(spec: FieldSpec, pts) -> None:
     for p in pts:
         spec.check(*p)
     if (
-        collinear(spec, p1, p2, p3)
-        or collinear(spec, p1, p2, p4)
-        or collinear(spec, p1, p3, p4)
-        or collinear(spec, p2, p3, p4)
+        _collinear(spec, p1, p2, p3)
+        or _collinear(spec, p1, p2, p4)
+        or _collinear(spec, p1, p3, p4)
+        or _collinear(spec, p2, p3, p4)
     ):
         raise GeometryError("frame points are not in general position")
 

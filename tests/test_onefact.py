@@ -172,6 +172,12 @@ def test_enumerate_rejects_bad_n():
         enumerate_factorizations(6)  # K12: 526,915,620 classes
     with pytest.raises(FactorizationError):
         enumerate_factorizations(7)
+    # relabeling is refused past K10 as well
+    gk12 = round_robin(12)
+    with pytest.raises(FactorizationError):
+        canonical_form(gk12)
+    with pytest.raises(FactorizationError):
+        isomorphic(gk12, gk12)
 
 
 def test_enumerated_representatives_are_valid_and_distinct():
@@ -181,6 +187,34 @@ def test_enumerated_representatives_are_valid_and_distinct():
         assert f.n_vertices == 8
         seen.add(canonical_form(f))
     assert len(seen) == 6
+
+
+def is_perfect(fact):
+    """Every two factors form one Hamiltonian cycle: walking from vertex 1
+    along alternate factors returns to 1 only after visiting every vertex."""
+    partners = []
+    for f in fact.factors:
+        partner = {}
+        for u, v in f:
+            partner[u], partner[v] = v, u
+        partners.append(partner)
+    for a, b in combinations(partners, 2):
+        v, length = b[a[1]], 2
+        while v != 1:
+            v = b[a[v]]
+            length += 2
+        if length != fact.n_vertices:
+            return False
+    return True
+
+
+def test_one_perfect_class_per_catalog(k6_catalog, k8_catalog, k10_catalog):
+    # one perfect 1-factorization of each of K6, K8 and K10 up to
+    # isomorphism (Wallis, One-factorizations, 1997)
+    k10, _ = k10_catalog
+    assert [i for i, f in enumerate(k6_catalog) if is_perfect(f)] == [0]
+    assert [i for i, f in enumerate(k8_catalog) if is_perfect(f)] == [5]
+    assert [i for i, f in enumerate(k10) if is_perfect(f)] == [395]
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +412,12 @@ def test_closure_counts_frozen(k8_catalog):
           (True, 3, 90), (True, 3, 99)]
     res = closure(K6)
     assert (res.contains_all, res.depth, len(res.family)) == (True, 2, 16)
+
+
+def test_closure_gk14_counts_frozen():
+    # k = 13, an 8192-bit family; frozen from the all-pairs fixpoint
+    res = closure(round_robin(14))
+    assert (res.contains_all, res.depth, len(res.family)) == (True, 4, 8100)
 
 
 def test_closure_survey_shape():

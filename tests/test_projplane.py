@@ -77,7 +77,7 @@ def test_line_through_repeated_point_rejected():
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_public_incidence_rejects_bad_coordinates(bad):
     # -1 would read log[-1] and q would index past the log table; both are
-    # FieldError at the public names, in either argument
+    # FieldError at the public names, in any argument
     good = (1, 1, 1)
     wrong = (0, bad, 1)
     for first, second in ((wrong, good), (good, wrong)):
@@ -87,6 +87,14 @@ def test_public_incidence_rejects_bad_coordinates(bad):
             pp.meet(GF4, first, second)
         with pytest.raises(FieldError):
             pp.incident(GF4, first, second)
+        with pytest.raises(FieldError):
+            pp.collinear(GF4, first, second, (1, 0, 0))
+        with pytest.raises(FieldError):
+            pp.matrix_det(GF4, (first, second, (1, 0, 0)))
+        with pytest.raises(FieldError):
+            pp.is_linear(GF4, (first, second))
+    with pytest.raises(FieldError):
+        pp.line_points(GF4, wrong)
     with pytest.raises(FieldError):
         pp.apply_point(GF4, pp.IDENTITY, wrong)
     with pytest.raises(FieldError):
