@@ -82,20 +82,6 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     return AdditiveSubgroup(spec, basis, tuple(sorted(elements)))
 
 
-def subgroup_from_elements(spec: FieldSpec, elements) -> AdditiveSubgroup:
-    """Recover a basis from a set of pairs already closed under addition."""
-    elements = set(elements)
-    basis: list[Pair] = []
-    seen = {(0, 0)}
-    for e in sorted(elements):
-        if e not in seen:
-            basis.append(e)
-            seen |= {(a ^ e[0], b ^ e[1]) for a, b in seen}
-    if seen != elements:
-        raise ArcError("element set is not closed under addition")
-    return AdditiveSubgroup(spec, tuple(basis), tuple(sorted(elements)))
-
-
 @dataclass(frozen=True)
 class Arc:
     """A set of points, no three collinear, kept in canonical sorted order."""
@@ -154,16 +140,23 @@ def _collinear_triple(spec, pts):
 
 
 def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
-    """Orbit of an affine base point under the translations indexed by G."""
+    """Orbit of an affine base point under the translations indexed by G.
+
+    The slope test decides whether the orbit is an arc (see
+    is_translation_arc_group), so the orbit is not swept for collinear
+    triples."""
     spec = group.spec
     base = pp.normalize(spec, base)
     if base[2] != 1:
         raise ArcError("base point must be affine")
-    pts = tuple((a ^ base[0], b ^ base[1], 1) for a, b in group.elements)
-    try:
-        return Arc(spec, pts)
-    except ArcError as exc:
-        raise ArcError(f"orbit is not an arc: {exc}") from exc
+    if not _distinct_slopes(spec, group.basis):
+        raise ArcError("orbit is not an arc: two elements of G share a slope")
+    arc = object.__new__(Arc)
+    object.__setattr__(arc, "spec", spec)
+    object.__setattr__(
+        arc, "points", tuple(sorted((a ^ base[0], b ^ base[1], 1) for a, b in group.elements))
+    )
+    return arc
 
 
 def conic_translation_arc(spec: FieldSpec, h_basis) -> Arc:
@@ -189,7 +182,8 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
     """Double the conic arc over F_sqrt(q) through A = (eta, b*eta^2).
 
     Candidate pairs are validated by the only sound criterion: the point
-    (eta, b*eta^2, 1) must lie on no secant of the small arc.  With explicit
+    (eta, b*eta^2, 1) must lie on no secant of the small arc, which the
+    slope test decides (see extend_double).  With explicit
     (eta, b) the pair is checked and the doubled arc returned; with none
     given, all pairs are scanned and the first valid one used.  Returns
     (arc, eta, b), or None when the scan finds no valid pair.
@@ -198,8 +192,6 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
         raise ArcError("q must be a square")
     half = set(spec.subfield(spec.r // 2))
     group = _graph_subgroup(spec, _subfield_basis(spec, spec.r // 2), 1)
-    arc = translation_arc(group)
-    blocked = _secant_point_set(arc)
     exp, log = spec.exp, spec.log
 
     def pair_of(e, bb):
@@ -210,7 +202,7 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
             e not in half
             and bb in half
             and bb != 1
-            and (*pair_of(e, bb), 1) not in blocked
+            and _distinct_slopes(spec, group.basis + (pair_of(e, bb),))
         )
 
     if eta is not None or b is not None:
@@ -311,19 +303,22 @@ def _secant_point_set(arc: Arc) -> set[Point]:
 
 
 def extend_double(group: AdditiveSubgroup, pair: Pair) -> AdditiveSubgroup:
-    """Adjoin a pair whose point lies on no secant of the orbit arc; the
-    resulting orbit is guaranteed (and re-checked) to be a doubled arc."""
+    """Adjoin a pair whose point lies on no secant of the orbit arc of G.
+
+    The slope test on G's basis plus the pair decides: for an arc group G
+    and (a, b) outside G, translating by G shows that the doubled orbit has
+    a collinear triple iff (a, b, 1) lies on a secant of G's orbit."""
     spec = group.spec
     a, b = pair
     spec.check(a, b)
     if (a, b) in group:
         raise ArcError(f"pair {pair} already in the subgroup")
-    arc = translation_arc(group)
-    if len(arc) >= 2 and (a, b, 1) in _secant_point_set(arc):
+    if not _distinct_slopes(spec, group.basis):
+        raise ArcError("orbit is not an arc: two elements of G share a slope")
+    basis = group.basis + ((a, b),)
+    if not _distinct_slopes(spec, basis):
         raise ArcError(f"point ({a}, {b}, 1) lies on a secant")
-    extended = subgroup_make(spec, group.basis + ((a, b),))
-    translation_arc(extended)  # revalidates the doubled orbit
-    return extended
+    return subgroup_make(spec, basis)
 
 
 def uncovered_affine(arc: Arc) -> tuple[Point, ...]:
@@ -350,18 +345,17 @@ def normal_form_q_arc(spec: FieldSpec, alpha: int, beta: int, i: int) -> Arc | N
 
     The left side is F2-linear in (x, y), so the solutions form an additive
     subgroup; they always include (0,0) and (1,1).  Returns the orbit arc
-    when the kernel has exactly q elements and its orbit is an arc, else
-    None.
+    when the kernel has dimension r and the slope test accepts its basis,
+    else None.
     """
     if gcd(i, spec.r) != 1:
         raise ArcError(f"exponent {i} not coprime to degree {spec.r}")
     spec.check(alpha, beta)
-    kernel = _normal_form_kernel(spec, alpha, beta, i)
-    if len(kernel) != spec.q:
+    basis = _normal_form_kernel(spec, alpha, beta, i)
+    if len(basis) != spec.r:
         return None
     try:
-        group = subgroup_from_elements(spec, kernel)
-        return translation_arc(group)
+        return translation_arc(subgroup_make(spec, basis))
     except ArcError:
         return None
 
@@ -376,9 +370,9 @@ def _normal_form_value(spec, alpha, beta, i, x, y):
     )
 
 
-def _normal_form_kernel(spec, alpha, beta, i) -> set[Pair]:
-    """Kernel of the F2-linear map behind the normal form, by elimination
-    on the 2r basis vectors of F_q x F_q."""
+def _normal_form_kernel(spec, alpha, beta, i) -> list[Pair]:
+    """A basis of the kernel of the F2-linear map behind the normal form,
+    by elimination on the 2r basis vectors of F_q x F_q."""
     r = spec.r
     rows = []  # (image value, domain vector encoded as a 2r-bit int)
     for j in range(r):
@@ -401,11 +395,7 @@ def _normal_form_kernel(spec, alpha, beta, i) -> set[Pair]:
         if val == 0:
             kernel_vecs.append(vec)
     mask = (1 << r) - 1
-    pairs = {(0, 0)}
-    for vec in kernel_vecs:
-        x, y = vec & mask, vec >> r
-        pairs |= {(a ^ x, b ^ y) for a, b in pairs}
-    return pairs
+    return [(vec & mask, vec >> r) for vec in kernel_vecs]
 
 
 def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:

@@ -12,7 +12,6 @@ arc: each blocker's secants read off a perfect matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from hyperarcs.gf2 import FieldSpec
@@ -209,8 +208,8 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
 
     blockers = set(secant_directions(group))
     for a1, a2 in group.elements:
-        composed = pp.compose(spec, phi, pp.elation(spec, a1, a2))
-        blockers.add(pp.center(spec, composed))
+        composed = pp._compose(spec, phi, pp.elation(spec, a1, a2))
+        blockers.add(pp._center(spec, composed))
     bset = BlockingSet(spec, tuple(blockers), union)
     if len(bset) != 2 * k - 1:
         raise BlockingError(f"expected {2 * k - 1} blockers, found {len(bset)}")
@@ -344,7 +343,6 @@ def factorization_of(arc: Arc, blocking: BlockingSet) -> OneFactorization:
 # Projective equivalence of arcs
 
 
-@lru_cache(maxsize=8192)
 def arc_canonical_form(arc: Arc) -> tuple:
     """Canonical representative of the arc's projective class: the least
     sorted image over all maps sending an ordered 4-subset of the arc to

@@ -32,6 +32,7 @@ from itertools import combinations, permutations, product
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
+from hyperarcs.arcs import _collinear_triple
 from hyperarcs.projplane import Point
 
 
@@ -482,9 +483,8 @@ class Embedding:
         pts = self.vertices
         if len(set(pts)) != len(pts):
             raise FactorizationError("vertex images not distinct")
-        for a, b, c in combinations(pts, 3):
-            if pp._collinear(spec, a, b, c):
-                raise FactorizationError("vertex images contain a collinear triple")
+        if _collinear_triple(spec, pts) is not None:
+            raise FactorizationError("vertex images contain a collinear triple")
         if len(set(self.foci)) != len(self.foci):
             raise FactorizationError("focus images not distinct")
         if set(self.foci) & set(pts):

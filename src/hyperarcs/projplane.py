@@ -56,11 +56,6 @@ STANDARD_FRAME: tuple[Point, ...] = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
 IDENTITY: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def affine_point(spec: FieldSpec, a: int, b: int) -> Point:
-    spec.check(a, b)
-    return (a, b, 1)
-
-
 def direction_point(spec: FieldSpec, a: int, b: int) -> Point:
     """Point at infinity in the direction (a, b), normalized."""
     if a == 0 and b == 0:
@@ -88,6 +83,11 @@ def _cross(exp, log, u, v) -> tuple[int, int, int]:
 # Each public name below checks its coordinates, then calls the unchecked
 # kernel of the same name with a leading underscore; library code calls the
 # kernels.
+
+
+def _check_matrix(spec: FieldSpec, mat) -> None:
+    for row in mat:
+        spec.check(*row)
 
 
 def incident(spec: FieldSpec, point: Point, line: Line) -> bool:
@@ -122,8 +122,7 @@ def _meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
 
 
 def matrix_det(spec: FieldSpec, rows) -> int:
-    for row in rows:
-        spec.check(*row)
+    _check_matrix(spec, rows)
     return _matrix_det(spec, rows)
 
 
@@ -217,16 +216,14 @@ def _scale_matrix(spec: FieldSpec, rows) -> Matrix:
 
 def matrix_make(spec: FieldSpec, rows) -> Matrix:
     rows = tuple(tuple(row) for row in rows)
-    for row in rows:
-        spec.check(*row)
+    _check_matrix(spec, rows)
     if _matrix_det(spec, rows) == 0:
         raise GeometryError("singular matrix is not a projectivity")
     return _scale_matrix(spec, rows)
 
 
 def apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
-    for row in mat:
-        spec.check(*row)
+    _check_matrix(spec, mat)
     spec.check(*p)
     return _apply_point(spec, mat, p)
 
@@ -240,6 +237,12 @@ def _apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
 
 def compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
     """The projectivity applying g first, then f (matrix product f @ g)."""
+    _check_matrix(spec, f)
+    _check_matrix(spec, g)
+    return _compose(spec, f, g)
+
+
+def _compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
     exp, log = spec.exp, spec.log
     columns = tuple(zip(*g))
     return _scale_matrix(
@@ -249,6 +252,11 @@ def compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
 
 def inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
     """The adjugate, which is the inverse up to the (dropped) factor det."""
+    _check_matrix(spec, mat)
+    return _inverse(spec, mat)
+
+
+def _inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
     if _matrix_det(spec, mat) == 0:
         raise GeometryError("singular matrix")
     exp, log = spec.exp, spec.log
@@ -282,6 +290,11 @@ def center(spec: FieldSpec, mat: Matrix) -> Point:
     Rejects matrices that do not fix the line at infinity pointwise, and
     the identity (every point is fixed, no center).
     """
+    _check_matrix(spec, mat)
+    return _center(spec, mat)
+
+
+def _center(spec: FieldSpec, mat: Matrix) -> Point:
     (a, b, c), (d, e, f), (g, h, i) = mat
     if not (b == 0 and d == 0 and g == 0 and h == 0 and a == e and i != 0):
         raise GeometryError("not a central collineation with axis X3 = 0")
@@ -291,8 +304,8 @@ def center(spec: FieldSpec, mat: Matrix) -> Point:
     if lam == 1:
         if a1 == 0 and a2 == 0:
             raise GeometryError("identity has no center")
-        return direction_point(spec, a1, a2)
-    return normalize(spec, (a1, a2, 1 ^ lam))
+        return _normalize_fast(spec, a1, a2, 0)
+    return _normalize_fast(spec, a1, a2, 1 ^ lam)
 
 
 def _to_standard_frame(spec: FieldSpec, p1, p2, p3, p4) -> Matrix:
@@ -338,9 +351,9 @@ def frame_map(spec: FieldSpec, sources, targets) -> Matrix:
     sources, targets = tuple(sources), tuple(targets)
     _check_frame(spec, sources)
     _check_frame(spec, targets)
-    return compose(
+    return _compose(
         spec,
-        inverse(spec, _to_standard_frame(spec, *targets)),
+        _inverse(spec, _to_standard_frame(spec, *targets)),
         _to_standard_frame(spec, *sources),
     )
 

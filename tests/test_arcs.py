@@ -9,6 +9,7 @@ from hyperarcs import arcs
 from hyperarcs.arcs import (
     Arc,
     ArcError,
+    CollinearError,
     CONTAINED,
     INCONCLUSIVE,
     NOT_CONTAINED,
@@ -25,7 +26,6 @@ from hyperarcs.arcs import (
     secant_directions,
     secants,
     split_conic_arc,
-    subgroup_from_elements,
     subgroup_make,
     subplane_bound,
     translation_arc,
@@ -63,14 +63,6 @@ def test_dependent_generators_rejected():
         subgroup_make(GF8, [(1, 0), (1, 0)])
     with pytest.raises(ArcError):
         subgroup_make(GF8, [(1, 0), (0, 1), (1, 1)])
-
-
-def test_subgroup_from_elements_round_trip():
-    g = quad_group(GF8)
-    again = subgroup_from_elements(GF8, g.elements)
-    assert again.elements == g.elements
-    with pytest.raises(ArcError):
-        subgroup_from_elements(GF8, [(0, 0), (1, 0), (0, 1)])  # not closed
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +301,30 @@ def test_extend_double_from_trivial_group():
     g2 = extend_double(g, (3, 4))
     assert g2.elements == ((0, 0), (3, 4))
     assert len(translation_arc(g2)) == 2
+
+
+@pytest.mark.parametrize(
+    "spec,basis",
+    [(GF8, QUAD_BASIS), (GF16, [(h, GF16.mul(h, h)) for h in (1, 2, 4)])],
+    ids=["quadrangle-q8", "conic-q16"],
+)
+def test_extend_double_matches_secant_walk(spec, basis):
+    # on every affine point, the slope test in extend_double agrees with
+    # walking the points of the orbit's secants
+    g = subgroup_make(spec, basis)
+    walked = arcs._secant_point_set(translation_arc(g))
+    outcomes = set()
+    for a in spec.elements():
+        for b in spec.elements():
+            if (a, b) in g or (a, b, 1) in walked:
+                outcomes.add(False)
+                with pytest.raises(ArcError):
+                    extend_double(g, (a, b))
+                continue
+            outcomes.add(True)
+            doubled = extend_double(g, (a, b))
+            assert len(Arc(spec, translation_arc(doubled).points)) == 2 * g.order
+    assert outcomes == {True, False}
 
 
 def test_doubling_randomized():
@@ -647,23 +663,38 @@ def test_enumerate_subgroups_counts(r, dim):
 
 
 def test_arc_group_slope_criterion_matches_direct_check():
+    # the slope test against the Arc() collinearity sweep of the orbit's
+    # points, which shares no code with it, on random subgroups of
+    # dimension 2..r around random affine base points
     rng = random.Random(21)
-    for _ in range(40):
-        basis = []
-        while len(basis) < 3:
-            cand = (rng.randrange(16), rng.randrange(16))
+    outcomes = set()
+    for r in range(2, 7):
+        spec = field_make(r)
+        for _ in range(40):
+            dim = rng.randrange(2, r + 1)
+            basis = []
+            while len(basis) < dim:
+                cand = (rng.randrange(spec.q), rng.randrange(spec.q))
+                try:
+                    subgroup_make(spec, basis + [cand])
+                except ArcError:
+                    continue
+                basis.append(cand)
+            g = subgroup_make(spec, basis)
+            base = (rng.randrange(spec.q), rng.randrange(spec.q), 1)
+            orbit = tuple((a ^ base[0], b ^ base[1], 1) for a, b in g.elements)
             try:
-                subgroup_make(GF16, basis + [cand])
-            except ArcError:
-                continue
-            basis.append(cand)
-        g = subgroup_make(GF16, basis)
-        direct = True
-        try:
-            translation_arc(g)
-        except ArcError:
-            direct = False
-        assert is_translation_arc_group(g) == direct
+                direct = Arc(spec, orbit)
+            except CollinearError:
+                direct = None
+            outcomes.add(direct is not None)
+            assert is_translation_arc_group(g) == (direct is not None)
+            if direct is None:
+                with pytest.raises(ArcError):
+                    translation_arc(g, base)
+            else:
+                assert translation_arc(g, base) == direct
+    assert outcomes == {True, False}
 
 
 def _normal_form_point_sets(spec):

@@ -97,8 +97,16 @@ def test_public_incidence_rejects_bad_coordinates(bad):
         pp.line_points(GF4, wrong)
     with pytest.raises(FieldError):
         pp.apply_point(GF4, pp.IDENTITY, wrong)
+    wrong_matrix = ((1, 0, 0), (0, 1, 0), (0, 0, bad))
     with pytest.raises(FieldError):
-        pp.apply_point(GF4, ((1, 0, 0), (0, 1, 0), (0, 0, bad)), good)
+        pp.apply_point(GF4, wrong_matrix, good)
+    with pytest.raises(FieldError):
+        pp.inverse(GF4, wrong_matrix)
+    for f, g in ((pp.IDENTITY, wrong_matrix), (wrong_matrix, pp.IDENTITY)):
+        with pytest.raises(FieldError):
+            pp.compose(GF4, f, g)
+    with pytest.raises(FieldError):
+        pp.center(GF4, ((bad, 0, 0), (0, bad, 0), (0, 0, 1)))
 
 
 def test_collinear_at_infinity():
