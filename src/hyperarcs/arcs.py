@@ -321,18 +321,27 @@ def extend_double(group: AdditiveSubgroup, pair: Pair) -> AdditiveSubgroup:
     return subgroup_make(spec, basis)
 
 
-def uncovered_affine(arc: Arc) -> tuple[Point, ...]:
-    """Affine points lying on no secant and not in the arc."""
+def _uncovered(arc: Arc) -> tuple[tuple[Point, ...], list[Point]]:
+    """The affine points and the points at infinity lying on no secant and
+    not in the arc, from one walk of the secants."""
     spec = arc.spec
     covered = _secant_point_set(arc) if len(arc) >= 2 else set()
     covered.update(arc.points)
-    out = [
+    affine = tuple(
         (a, b, 1)
         for a in spec.elements()
         for b in spec.elements()
         if (a, b, 1) not in covered
+    )
+    at_infinity = [
+        p for p in pp._line_points(spec, LINE_AT_INFINITY) if p not in covered
     ]
-    return tuple(out)
+    return affine, at_infinity
+
+
+def uncovered_affine(arc: Arc) -> tuple[Point, ...]:
+    """Affine points lying on no secant and not in the arc."""
+    return _uncovered(arc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +494,7 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
     seed_size = group.order
     while True:
         arc = translation_arc(group)
-        uncovered = uncovered_affine(arc)
+        uncovered, at_infinity = _uncovered(arc)
         if not uncovered:
             break
         pool = uncovered if chosen else [p for p in uncovered if p not in forbidden]
@@ -495,7 +504,7 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
         group = extend_double(group, (a, b))
         chosen.append((a, b))
 
-    hyper, _ = hyperoval_containment(arc)
+    hyper, _ = _complete_hyperoval(arc, at_infinity)
     return CompletionReport(
         spec=spec,
         arc=arc,
@@ -515,21 +524,22 @@ def hyperoval_containment(arc: Arc):
     points on the line at infinity, so only those completions are tried.
     Returns (verdict, hyperoval_points_or_None).
     """
-    spec = arc.spec
-    if uncovered_affine(arc):
+    uncovered, at_infinity = _uncovered(arc)
+    if uncovered:
         raise ArcError("arc is not affinely complete; verdict would be unsound")
+    return _complete_hyperoval(arc, at_infinity)
+
+
+def _complete_hyperoval(arc: Arc, candidates: list[Point]):
+    """hyperoval_containment of an affinely complete arc, given the points
+    at infinity lying on no secant and not in the arc."""
+    spec = arc.spec
     q = spec.q
     k = len(arc)
     if k >= q + 2:
         return CONTAINED, arc.points
     if k < q:
         return NOT_CONTAINED, None
-    on_secant = _secant_point_set(arc)
-    candidates = [
-        p
-        for p in pp._line_points(spec, LINE_AT_INFINITY)
-        if p not in on_secant and p not in arc
-    ]
     need = q + 2 - k
     for extra in combinations(candidates, need):
         try:

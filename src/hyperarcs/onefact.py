@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
@@ -166,20 +167,6 @@ def _apply_perm(perm, matching):
     return tuple(out)
 
 
-def _stabilizer_of_identity(n: int) -> list[tuple[int, ...]]:
-    """Vertex permutations preserving the matching (0,1)(2,3)...: block
-    permutations combined with in-block swaps; order 2^n * n!."""
-    perms = []
-    for block in permutations(range(n)):
-        for flips in product((0, 1), repeat=n):
-            sigma = [0] * (2 * n)
-            for i in range(n):
-                sigma[2 * i] = 2 * block[i] + flips[i]
-                sigma[2 * i + 1] = 2 * block[i] + (flips[i] ^ 1)
-            perms.append(tuple(sigma))
-    return perms
-
-
 def _sigma_onto_identity(matching) -> tuple[int, ...]:
     """One fixed relabeling sending the matching onto the identity one."""
     sigma = [0] * len(matching)
@@ -190,6 +177,13 @@ def _sigma_onto_identity(matching) -> tuple[int, ...]:
             sigma[matching[v]] = slot + 1
             slot += 2
     return tuple(sigma)
+
+
+def _inverse(row: list[int]) -> list[int]:
+    inv = [0] * len(row)
+    for x, y in enumerate(row):
+        inv[y] = x
+    return inv
 
 
 class _EnumContext:
@@ -214,25 +208,47 @@ class _EnumContext:
         index = self.index
         mask0 = self.masks[0]
         valid2 = [m for m in self.bucket[2] if not self.masks[m] & mask0]
+        # stab_rows[t][m]: the rank of matching m relabeled by element t of
+        # the stabilizer of the identity matching (0,1)(2,3)..., which has
+        # order 2^n * n!.  Every element factors as sigma = B o F: F swaps
+        # inside some blocks {2i, 2i+1} and B then permutes the n blocks.
+        # Relabeling by sigma is relabeling by F and then by B, so the row of
+        # sigma is [row_B[x] for x in row_F].  Only the n! block rows and
+        # the 2^n flip rows are built by relabeling; the rows are listed
+        # blocks outer, flips inner.
+        def row(sigma):
+            return [index[_apply_perm(sigma, m)] for m in matchings]
+
+        block_rows = [
+            row([2 * b + e for b in block for e in (0, 1)])
+            for block in permutations(range(n))
+        ]
+        flip_rows = [
+            row([2 * i + (f ^ e) for i, f in enumerate(flips) for e in (0, 1)])
+            for flips in product((0, 1), repeat=n)
+        ]
         self.stab_rows = [
-            [index[_apply_perm(sigma, m)] for m in matchings]
-            for sigma in _stabilizer_of_identity(n)
+            [row_b[x] for x in row_f] for row_b in block_rows for row_f in flip_rows
         ]
         # canonical second factors: minimal in their stabilizer orbit
         # among matchings disjoint from the identity factor
         self.reps2 = {
             m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
         }
-        # for each canonical second factor r and every matching disjoint
-        # from the identity: which stabilizer elements send it to a
-        # bucket-2 matching of rank at most r
+        # for each canonical second factor r and every matching m: which
+        # stabilizer elements send m to a bucket-2 matching y of rank at
+        # most r.  Only those few targets y are looked up, each in the
+        # inverse row of every element, composed as inverse(F)[inverse(B)[y]].
         reps2 = sorted(self.reps2)
-        below = {m: [r for r in reps2 if m <= r] for m in valid2}
+        targets = [
+            (y, [r for r in reps2 if y <= r]) for y in valid2 if y <= reps2[-1]
+        ]
         t_by_m: dict[int, dict[int, list[int]]] = {r: {} for r in reps2}
-        disjoint = [i for i, mk in enumerate(self.masks) if not mk & mask0]
-        for t, row in enumerate(self.stab_rows):
-            for m in disjoint:
-                for r in below.get(row[m], ()):
+        inverses = product(map(_inverse, block_rows), map(_inverse, flip_rows))
+        for t, (inv_b, inv_f) in enumerate(inverses):
+            for y, rs in targets:
+                m = inv_f[inv_b[y]]
+                for r in rs:
                     t_by_m[r].setdefault(m, []).append(t)
         self.t_by_m = {
             r: {m: tuple(ts) for m, ts in table.items()}
@@ -262,9 +278,9 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
             hit = t_by_m.get(m)
             if hit:
                 cands.update(hit)
+        image = itemgetter(*mlist)
         for t in cands:
-            row = rows[t]
-            if sorted(row[m] for m in mlist) < ranks:
+            if sorted(image(rows[t])) < ranks:
                 return True
     return False
 
@@ -342,8 +358,9 @@ def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
     for i in range(len(mine)):
         sig = _sigma_onto_identity(ctx.matchings[mine[i]])
         base = [ctx.index[_apply_perm(sig, ctx.matchings[m])] for m in mine]
+        image = itemgetter(*base)
         for row in ctx.stab_rows:
-            seq = sorted(row[m] for m in base)
+            seq = sorted(image(row))
             if best is None or seq < best:
                 best = seq
     return _ranks_to_factorization(ctx, best).factors

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -19,6 +20,7 @@ from hyperarcs.onefact import (
     parse_catalog,
     parse_factorization,
     triangle_triples,
+    _context,
 )
 
 # The two embeddable K8 classes, by their explicit factor lists.
@@ -187,6 +189,80 @@ def test_enumerated_representatives_are_valid_and_distinct():
         assert f.n_vertices == 8
         seen.add(canonical_form(f))
     assert len(seen) == 6
+
+
+def stabilizer_of_identity(n):
+    """The 2^n * n! relabelings preserving (0,1)(2,3)..., listed blocks
+    outer, flips inner."""
+    for block in permutations(range(n)):
+        for flips in product((0, 1), repeat=n):
+            sigma = [0] * (2 * n)
+            for i in range(n):
+                sigma[2 * i] = 2 * block[i] + flips[i]
+                sigma[2 * i + 1] = 2 * block[i] + (flips[i] ^ 1)
+            yield sigma
+
+
+def stab_row_oracle(ctx, sigma):
+    """Relabel every matching by sigma and look up the image's rank."""
+    row = []
+    for m in ctx.matchings:
+        image = [0] * len(m)
+        for v, u in enumerate(m):
+            image[sigma[v]] = sigma[u]
+        row.append(ctx.index[tuple(image)])
+    return row
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stab_rows_match_direct_relabeling(n):
+    ctx = _context(n)
+    expected = [stab_row_oracle(ctx, s) for s in stabilizer_of_identity(n)]
+    assert ctx.stab_rows == expected
+
+
+def test_stab_rows_match_direct_relabeling_k10_sample():
+    ctx = _context(5)
+    sigmas = list(stabilizer_of_identity(5))
+    assert len(ctx.stab_rows) == len(sigmas) == 3840
+    for t in random.Random(10).sample(range(len(sigmas)), 64):
+        assert ctx.stab_rows[t] == stab_row_oracle(ctx, sigmas[t]), t
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_second_rank_filter_matches_row_scan(n):
+    # t_by_m[r][m]: the stabilizer elements sending m to a bucket-2
+    # matching of rank at most r, scanned here row by row
+    ctx = _context(n)
+    expected = {r: {} for r in ctx.reps2}
+    for t, row in enumerate(ctx.stab_rows):
+        for m, y in enumerate(row):
+            if y in ctx.bucket[2] and not ctx.masks[y] & ctx.masks[0]:
+                for r in ctx.reps2:
+                    if y <= r:
+                        expected[r].setdefault(m, []).append(t)
+    assert ctx.t_by_m == {
+        r: {m: tuple(ts) for m, ts in table.items()} for r, table in expected.items()
+    }
+
+
+# SHA-256 of format_catalog, as stored in perfbench/golden/digests.json:
+# this pins the class order as well as the classes.
+CATALOG_SHA256 = {
+    "k6": "ab0f2602b1f17055d348fd36e8ef506e96bc4f3fc64a2eba096fdbc11254b759",
+    "k8": "61b7680360159811023871ad184388916952a20c582857da35beee834178838d",
+    "k10": "a11873223faaf62757ba664c83d7176f348d03e2cf64ab2673e90484927891ea",
+}
+
+
+def test_catalog_digests(k6_catalog, k8_catalog, k10_catalog):
+    k10, _ = k10_catalog
+    catalogs = {"k6": k6_catalog, "k8": k8_catalog, "k10": k10}
+    digests = {
+        name: hashlib.sha256(format_catalog(facts).encode()).hexdigest()
+        for name, facts in catalogs.items()
+    }
+    assert digests == CATALOG_SHA256
 
 
 def is_perfect(fact):
