@@ -11,8 +11,27 @@ import sys
 import time
 
 from hyperarcs.classify import MAX_K, classify_ghf
-from hyperarcs.gf2 import field_make
-from hyperarcs.onefact import enumerate_factorizations
+from hyperarcs.gf2 import FieldError, field_make
+from hyperarcs.onefact import FactorizationError, enumerate_factorizations
+
+
+def parse_orders(ap: argparse.ArgumentParser, text: str) -> list:
+    """The field of every order in the comma list; a bad token ends the run
+    through ap.error before any work starts."""
+    specs = []
+    for tok in text.split(","):
+        try:
+            q = int(tok)
+        except ValueError:
+            ap.error(f"--orders: {tok!r} is not an integer")
+        r = q.bit_length() - 1
+        if q < 2 or q != 1 << r:
+            ap.error(f"--orders: q = {q} is not a power of two above 1")
+        try:
+            specs.append(field_make(r))
+        except FieldError as exc:
+            ap.error(f"--orders: {exc}")
+    return specs
 
 
 def main() -> int:
@@ -24,6 +43,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.max_k > MAX_K:
         ap.error(f"--max-k above {MAX_K} is not supported")
+    specs = parse_orders(ap, args.orders)
 
     t0 = time.time()
     catalogs = {}
@@ -32,16 +52,15 @@ def main() -> int:
         print(f"K{2*n}: {len(catalogs[n])} classes "
               f"({time.time()-t0:.1f}s elapsed)")
 
-    for q in (int(tok) for tok in args.orders.split(",")):
-        r = q.bit_length() - 1
-        if q != 1 << r:
-            print(f"skipping q={q}: not a power of two", file=sys.stderr)
-            continue
-        spec = field_make(r)
+    for spec in specs:
         t = time.time()
-        rep = classify_ghf(spec, max_k=args.max_k, embed_budget=args.budget,
-                           catalogs=catalogs)
-        print(f"\nq = {q} ({time.time()-t:.1f}s, "
+        try:
+            rep = classify_ghf(spec, max_k=args.max_k, embed_budget=args.budget,
+                               catalogs=catalogs)
+        except FactorizationError as exc:
+            print(f"error: q = {spec.q}: {exc}", file=sys.stderr)
+            return 2
+        print(f"\nq = {spec.q} ({time.time()-t:.1f}s, "
               f"{'exhaustive' if rep.exhaustive else 'budgeted'})")
         searched = [row for row in rep.rows if row.searched]
         forced = sum(1 for row in rep.rows if row.contains_all)

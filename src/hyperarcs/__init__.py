@@ -14,12 +14,14 @@ from hyperarcs.arcs import (
     translation_superarcs,
 )
 from hyperarcs.blocking import (
+    ArcClasses,
     BlockingSet,
     arc_canonical_form,
     factorization_of,
     ghf_construct,
     ghf_eight,
     min_blocking_sets,
+    projectively_equivalent,
     triangle_collinearity,
 )
 from hyperarcs.classify import classify_ghf
@@ -35,6 +37,7 @@ from hyperarcs.onefact import (
 __all__ = [
     "AdditiveSubgroup",
     "Arc",
+    "ArcClasses",
     "BlockingSet",
     "FieldSpec",
     "OneFactorization",
@@ -54,6 +57,7 @@ __all__ = [
     "hyperfocused_lines",
     "isomorphic",
     "min_blocking_sets",
+    "projectively_equivalent",
     "split_conic_arc",
     "subgroup_make",
     "translation_arc",

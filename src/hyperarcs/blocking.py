@@ -343,24 +343,21 @@ def factorization_of(arc: Arc, blocking: BlockingSet) -> OneFactorization:
 # Projective equivalence of arcs
 
 
-def arc_canonical_form(arc: Arc) -> tuple:
-    """Canonical representative of the arc's projective class: the least
-    sorted image over all maps sending an ordered 4-subset of the arc to
-    the standard frame.  Equal forms mean projectively equivalent arcs.
+def _frame_images(arc: Arc, frames):
+    """For each ordered 4-subset of arc indices in frames, the sorted image
+    of the arc under the map sending those four points to the standard
+    frame.
 
     Any 4 arc points are in general position, so every ordered 4-subset is
     a frame for pp._to_standard_frame, and it maps onto the standard frame
     itself; only the other points' images are computed."""
     spec = arc.spec
-    if len(arc) < 4:
-        raise ArcError("canonical form needs at least four points")
     exp, log = spec.exp, spec.log
     shift = spec.q - 1
     pts = arc.points
     point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
 
-    best = None
-    for frame in permutations(range(len(pts)), 4):
+    for frame in frames:
         rows = pp._to_standard_frame(spec, *(pts[i] for i in frame))
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
             (log[m[0]], log[m[1]], log[m[2]]) for m in rows
@@ -380,7 +377,83 @@ def arc_canonical_form(arc: Arc) -> tuple:
             else:
                 image.append((1, 0, 0))
         image.sort()
-        image = tuple(image)
-        if best is None or image < best:
-            best = image
-    return best
+        yield tuple(image)
+
+
+def _four_subsets(arc: Arc):
+    """Every 4-subset of the arc's indices, (0, 1, 2, 3) first."""
+    if len(arc) < 4:
+        raise ArcError("canonical form needs at least four points")
+    return combinations(range(len(arc)), 4)
+
+
+def _subset_images(arc: Arc, subsets):
+    """For each 4-subset of arc indices, its label: the least frame image
+    over its 24 orderings."""
+    for subset in subsets:
+        yield min(_frame_images(arc, permutations(subset)))
+
+
+def arc_canonical_form(arc: Arc) -> tuple:
+    """Canonical representative of the arc's projective class: the least
+    sorted image over all k(k-1)(k-2)(k-3) maps sending an ordered 4-subset
+    of the arc to the standard frame.  Equal forms mean projectively
+    equivalent arcs.  To reduce many arcs to their classes, ArcClasses
+    returns the same form for 24 frame images per arc after the first arc
+    of each class."""
+    return min(_subset_images(arc, _four_subsets(arc)))
+
+
+def projectively_equivalent(a: Arc, b: Arc) -> bool:
+    """Whether some projectivity maps arc a onto arc b; False for arcs of
+    different sizes or different planes.
+
+    Let M_f be the projectivity sending the ordered frame f to the standard
+    frame, image(a, f) the sorted M_f(a), and label(a, S) the least
+    image(a, f) over the 24 orderings f of a 4-subset S.  Projectivities act
+    regularly on ordered frames: exactly one sends a given ordered frame to
+    another.  So if g maps a onto b, then for every ordering f of S,
+    M_g(f) g = M_f, whence image(b, g(f)) = image(a, f); the orderings of S
+    and of g(S) pair off with equal images, and label(b, g(S)) = label(a, S).
+    Conversely, if label(a, S) = label(b, T), then image(a, f) = image(b, h)
+    for some orderings f of S and h of T, and M_h^-1 M_f maps a onto b.
+    Hence a and b are equivalent if and only if the label of a's first
+    4-subset is among the labels of b's 4-subsets, and the scan stops at the
+    first match.  Equivalent arcs have the same set of labels, and so the
+    same least label, which is the least frame image, arc_canonical_form."""
+    # both raise ArcError below four points, whatever the sizes
+    key = next(_subset_images(a, _four_subsets(a)))
+    subsets = _four_subsets(b)
+    if len(a) != len(b) or a.spec != b.spec:
+        return False
+    return key in _subset_images(b, subsets)
+
+
+class ArcClasses:
+    """A table of the projective classes of the arcs seen so far: form(arc)
+    returns arc_canonical_form(arc), with one full pass over the ordered
+    frames per class instead of one per arc.
+
+    By the argument of projectively_equivalent, every arc of a class has
+    the same set of 4-subset labels, and an arc whose first label lies in
+    that set belongs to the class.  The table maps every label of every
+    class met so far to the least of them, the canonical form; an arc's
+    first label is therefore found exactly when its class has been met, and
+    the form stored there is its own.  Keying by label, not by frame image,
+    stores 24 times fewer keys (70 per class of 8-arcs) for 24 frame images
+    per lookup."""
+
+    def __init__(self):
+        # field -> 4-subset label -> canonical form; labels carry no field
+        self._tables: dict[FieldSpec, dict[tuple, tuple]] = {}
+
+    def form(self, arc: Arc) -> tuple:
+        table = self._tables.setdefault(arc.spec, {})
+        labels = _subset_images(arc, _four_subsets(arc))
+        first = next(labels)
+        form = table.get(first)
+        if form is None:
+            keys = [first, *labels]
+            form = min(keys)
+            table.update(dict.fromkeys(keys, form))
+        return form

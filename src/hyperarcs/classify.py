@@ -6,7 +6,10 @@ on one line, so the class cannot carry a non-linear minimum blocking set
 and is recorded as forced linear.  Otherwise the embedding search runs and
 each embedding's focus set is tested for linearity directly.  Non-linear
 instances are reduced to projective-equivalence classes of their vertex
-arcs via the canonical form.
+arcs through one ArcClasses table per run: the first arc of a class pays a
+pass over all its ordered frames, every later arc the 24 frame images of
+its first four points and an exact lookup.  The forms reported are the
+canonical forms.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
-from hyperarcs.blocking import BlockingError, arc_canonical_form, ghf_eight
+from hyperarcs.blocking import ArcClasses, BlockingError, ghf_eight
 from hyperarcs.onefact import (
     FactorizationError,
     OneFactorization,
@@ -113,6 +116,7 @@ def classify_ghf(
         raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_K}")
     rows: list[ClassRow] = []
     nonlinear: dict[tuple, int] = {}
+    classes = ArcClasses()
     exhaustive = True
 
     for n in range(3, max_k // 2 + 1):
@@ -135,7 +139,7 @@ def classify_ghf(
             nonlin = [e for e in embeddings if not e.focus_collinear()]
             arcs = sorted({e.arc_points() for e in nonlin})
             forms = tuple(
-                sorted({arc_canonical_form(Arc(spec, pts)) for pts in arcs})
+                sorted({classes.form(Arc(spec, pts)) for pts in arcs})
             )
             for form in forms:
                 nonlinear[(2 * n, form)] = idx
@@ -158,7 +162,7 @@ def classify_ghf(
     example_exists = False
     try:
         example_arc, _, _ = ghf_eight(spec)
-        example_form = arc_canonical_form(example_arc)
+        example_form = classes.form(example_arc)
         example_exists = True
     except BlockingError:
         pass

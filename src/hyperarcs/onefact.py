@@ -647,10 +647,15 @@ def embed_search(
                 constraint_lines.append(pp._line_through(spec, focus, up))
         if not constraint_lines:
             return all_pts
-        pts = set(pp._line_points(spec, constraint_lines[0]))
-        for line in constraint_lines[1:]:
-            pts &= set(pp._line_points(spec, line))
-        return sorted(pts)
+        first = constraint_lines[0]
+        other = next((line for line in constraint_lines if line != first), None)
+        if other is None:
+            return sorted(pp._line_points(spec, first))
+        # two distinct lines share one point, which the rest must carry
+        p = pp._meet(spec, first, other)
+        if all(pp._incident(spec, p, line) for line in constraint_lines):
+            return [p]
+        return []
 
     def next_vertex(left: list[int]) -> int:
         def constrained(v):

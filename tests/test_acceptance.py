@@ -422,6 +422,29 @@ def test_a7c_classification_q16(classification_q16):
     print(f"\nA7c q=16: single non-linear class at k=8, {elapsed:.0f}s")
 
 
+def test_classification_q32_k8(k8_catalog, k6_catalog):
+    # the exhaustive q = 32 run: K6 and every K8 class but CASE1 are forced
+    # linear, and CASE1's non-linear embeddings fall into 15 projective
+    # classes, each reached through the class table
+    t = time.monotonic()
+    rep = classify_ghf(field_make(5), max_k=8, catalogs={3: k6_catalog, 4: k8_catalog})
+    elapsed = time.monotonic() - t
+    assert rep.exhaustive
+    searched = [row for row in rep.rows if row.searched]
+    assert [(row.k, row.embeddings, row.nonlinear_embeddings) for row in searched] == [
+        (8, 21000, 20160)
+    ]
+    assert rep.nonlinear_ks == (8,)
+    assert len(rep.nonlinear_forms) == 15
+    assert len(set(searched[0].nonlinear_arc_forms)) == 15
+    assert rep.example_exists
+    # matches_example() is not asserted: it compares every class with the
+    # single example of the first valid triple, so it reads False here even
+    # though all 15 classes come from the construction (ROADMAP item 2)
+    assert elapsed < 60.0
+    print(f"\nq=32: 15 non-linear classes at k=8, exhaustive, {elapsed:.1f}s")
+
+
 # ---------------------------------------------------------------------------
 # A8: the exact-cover search agrees with brute force on PG(2,4)
 

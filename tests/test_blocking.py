@@ -6,8 +6,15 @@ import pytest
 
 from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
-from hyperarcs.arcs import Arc, conic_translation_arc, subgroup_make, translation_arc
+from hyperarcs.arcs import (
+    Arc,
+    ArcError,
+    conic_translation_arc,
+    subgroup_make,
+    translation_arc,
+)
 from hyperarcs.blocking import (
+    ArcClasses,
     BlockingError,
     BlockingSet,
     arc_canonical_form,
@@ -17,6 +24,7 @@ from hyperarcs.blocking import (
     is_blocking,
     is_fano_configuration,
     min_blocking_sets,
+    projectively_equivalent,
     secant_blocker_map,
     triangle_collinearity,
 )
@@ -24,6 +32,7 @@ from hyperarcs.blocking import (
 GF4 = field_make(2)
 GF8 = field_make(3)
 GF16 = field_make(4)
+GF32 = field_make(5)
 
 
 def quad_arc(spec):
@@ -495,3 +504,116 @@ def test_canonical_form_matches_frame_map_oracle():
             if best is None or img < best:
                 best = img
         assert arc_canonical_form(arc) == best == expected
+
+
+# ---------------------------------------------------------------------------
+# Projective classes by frame images
+
+
+def random_arc(spec, k, rng):
+    """k points, no three collinear, added greedily from a shuffled plane."""
+    pts = pp.all_points(spec)
+    rng.shuffle(pts)
+    chosen = []
+    for p in pts:
+        if not any(pp.collinear(spec, p, a, b) for a, b in combinations(chosen, 2)):
+            chosen.append(p)
+            if len(chosen) == k:
+                return Arc(spec, tuple(chosen))
+    raise AssertionError(f"no {k}-arc from this shuffle")
+
+
+def random_projectivity(spec, rng):
+    while True:
+        rows = tuple(tuple(rng.randrange(spec.q) for _ in range(3)) for _ in range(3))
+        if pp.matrix_det(spec, rows):
+            return pp.matrix_make(spec, rows)
+
+
+def moved(arc, phi):
+    return Arc(arc.spec, tuple(pp.apply_point(arc.spec, phi, p) for p in arc.points))
+
+
+@pytest.mark.parametrize(
+    "spec, sizes", [(GF4, (4, 5, 6)), (GF8, (5, 6, 7)), (GF16, (5, 6, 7, 8))]
+)
+def test_arc_classes_agree_with_canonical_form(spec, sizes):
+    rng = random.Random(spec.q)
+    arcs = [random_arc(spec, k, rng) for k in sizes for _ in range(3)]
+    forms = [arc_canonical_form(arc) for arc in arcs]
+    classes = ArcClasses()
+    for arc, form in zip(arcs, forms):
+        assert ArcClasses().form(arc) == form
+        assert classes.form(arc) == form
+    for (a, fa), (b, fb) in combinations(zip(arcs, forms), 2):
+        assert projectively_equivalent(a, b) == (fa == fb)
+        assert projectively_equivalent(b, a) == (fa == fb)
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16])
+def test_arc_classes_agree_on_projective_images(spec):
+    rng = random.Random(100 + spec.q)
+    classes = ArcClasses()
+    for k in (4, 5, 6):
+        arc = random_arc(spec, k, rng)
+        form = arc_canonical_form(arc)
+        for _ in range(3):
+            image = moved(arc, random_projectivity(spec, rng))
+            assert projectively_equivalent(arc, image)
+            assert projectively_equivalent(image, arc)
+            assert arc_canonical_form(image) == form
+            assert classes.form(image) == form
+        assert classes.form(arc) == form
+
+
+def test_conic_arc_and_ghf_eight_stay_apart_in_either_order():
+    otto_arc, _, _ = ghf_eight(GF16)
+    conic = conic_translation_arc(GF16, [1, 2, 4])
+    for first, second in ((conic, otto_arc), (otto_arc, conic)):
+        classes = ArcClasses()
+        assert classes.form(first) == arc_canonical_form(first)
+        assert classes.form(second) == arc_canonical_form(second)
+        assert classes.form(first) != classes.form(second)
+        assert not projectively_equivalent(first, second)
+
+
+def test_arc_classes_on_sampled_ghf_eight_arcs_q32():
+    rng = random.Random(32)
+    field_set = set(GF32.elements())
+    triples = [
+        (lam, a1, a2)
+        for lam in sorted(field_set - {0, 1})
+        for a1 in GF32.elements()
+        for a2 in GF32.elements()
+        if not {a1, a2, a1 ^ a2} & {0, 1, lam, lam ^ 1}
+    ]
+    assert len(triples) == 30 * 28 * 24
+    arcs = [ghf_eight(GF32, *t)[0] for t in rng.sample(triples, 20)]
+    classes = ArcClasses()
+    forms = [classes.form(arc) for arc in arcs]
+    assert forms == [arc_canonical_form(arc) for arc in arcs]
+    for (a, fa), (b, fb) in combinations(list(zip(arcs, forms))[:6], 2):
+        assert projectively_equivalent(a, b) == (fa == fb)
+
+
+def test_projective_classes_need_four_points():
+    three = Arc(GF8, ((0, 0, 1), (0, 1, 1), (1, 0, 1)))
+    four = quad_arc(GF8)
+    with pytest.raises(ArcError):
+        arc_canonical_form(three)
+    with pytest.raises(ArcError):
+        ArcClasses().form(three)
+    with pytest.raises(ArcError):
+        projectively_equivalent(three, four)
+    with pytest.raises(ArcError):
+        projectively_equivalent(four, three)
+
+
+def test_projectively_equivalent_needs_same_size_and_plane():
+    otto_arc, _, _ = ghf_eight(GF16)
+    assert not projectively_equivalent(quad_arc(GF16), otto_arc)
+    # the quadrangle arcs of PG(2,8) and PG(2,16) have the same coordinates
+    # but lie in different planes
+    assert quad_arc(GF8).points == quad_arc(GF16).points
+    assert not projectively_equivalent(quad_arc(GF8), quad_arc(GF16))
+    assert projectively_equivalent(quad_arc(GF16), quad_arc(GF16))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperarcs
 from hyperarcs.cli import dispatch
 
 
@@ -333,3 +338,26 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["results"]["q"] == 4
+
+
+# ---------------------------------------------------------------------------
+# scripts/run_classification.py
+
+
+@pytest.mark.parametrize("orders", ["abc", "1", "64"])
+def test_run_classification_rejects_bad_orders(orders):
+    # "abc" is no integer and 1 no field order, both refused before any
+    # enumeration; q = 64 is past the embedding search (--max-k 8 keeps the
+    # catalogs small)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_classification.py"
+    src = str(Path(hyperarcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--orders", orders, "--max-k", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr

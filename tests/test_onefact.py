@@ -577,6 +577,16 @@ def test_embed_limit_and_budget():
     assert not exhausted2
 
 
+@pytest.mark.parametrize("fact, r, nodes", [(CASE1, 3, 469), (CASE2, 3, 349), (CASE2, 4, 3367)])
+def test_embed_search_node_count(fact, r, nodes):
+    # the exhaustive search visits exactly this many candidate points: a
+    # candidate list that held a point off some constraint line would cost
+    # extra nodes and move every budget cut
+    spec = field_make(r)
+    assert embed_search(fact, spec, max_nodes=nodes)[1]
+    assert not embed_search(fact, spec, max_nodes=nodes - 1)[1]
+
+
 def test_embed_search_guards():
     spec = field_make(6)
     with pytest.raises(FactorizationError):
