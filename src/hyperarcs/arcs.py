@@ -261,25 +261,31 @@ def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
 
     The secant pq meets the line l at l x (p x q) = (l.q) p + (l.p) q
     (characteristic two), so the k dot products l.p are taken once, a zero
-    one meaning l passes through an arc point, and each pair costs one
-    normalized combination; no secant or meet is built."""
+    one meaning l passes through an arc point.  Dividing by (l.p)(l.q), the
+    meet is p' + q' with p' = p / (l.p).  Fix a coordinate c with l_c != 0
+    and call the other two j and h.  A point X of l is fixed by its j and h
+    coordinates, since l_c X_c = l_j X_j + l_h X_h, and (X_j, X_h) is never
+    (0, 0); so it is fixed by the ratio X_j / X_h, read as infinity when
+    X_h = 0.  With u_p = p_j / (l.p) and w_p = p_h / (l.p), the secant pq
+    meets l at the point of ratio (u_p + u_q) / (w_p + w_q): one table
+    division per pair, and no secant, meet or normalized point is built."""
     spec = arc.spec
     exp, log = spec.exp, spec.log
-    dots = []
+    shift, infinity = spec.q - 1, spec.q
+    c = next(i for i in (2, 1, 0) if line[i])
+    j, h = (i for i in (0, 1, 2) if i != c)
+    uw = []
     for p in arc.points:
         d = pp._dot(exp, log, p, line)
         if d == 0:
             return False
-        dots.append(log[d])
-    if len(dots) < 2:
+        ld = shift - log[d]
+        uw.append((exp[log[p[j]] + ld], exp[log[p[h]] + ld]))
+    if len(uw) < 2:
         raise ArcError("secants need at least two points")
-    terms = [(dp, log[p[0]], log[p[1]], log[p[2]]) for dp, p in zip(dots, arc.points)]
     hits = {
-        pp._normalize_fast(
-            spec, exp[dq + p0] ^ exp[dp + q0], exp[dq + p1] ^ exp[dp + q1],
-            exp[dq + p2] ^ exp[dp + q2],
-        )
-        for (dp, p0, p1, p2), (dq, q0, q1, q2) in combinations(terms, 2)
+        exp[log[up ^ uq] + shift - log[wp ^ wq]] if wp != wq else infinity
+        for (up, wp), (uq, wq) in combinations(uw, 2)
     }
     return len(hits) == len(arc) - 1
 
@@ -342,6 +348,68 @@ def _uncovered(arc: Arc) -> tuple[tuple[Point, ...], list[Point]]:
 def uncovered_affine(arc: Arc) -> tuple[Point, ...]:
     """Affine points lying on no secant and not in the arc."""
     return _uncovered(arc)[0]
+
+
+def _translation_uncovered(group: AdditiveSubgroup) -> tuple[list[int], list[Point]]:
+    """_uncovered of the orbit arc of G through the origin, from the
+    intercepts of its secants instead of their points.
+
+    Returns (rows, at_infinity): bit y of rows[x] is set when (x, y, 1) lies
+    on no secant and not in the arc; at_infinity is as in _uncovered, the
+    points of the line at infinity that are not secant_directions(G).
+
+    G is an arc group, so each slope m of G belongs to one nonzero g in G.
+    The secants of slope m join p and p + g for p in G: they are the lines
+    y = m*x + c for c in C_m = {b + m*a : (a, b) in G}, an F2-subspace of
+    F_q, and (x, y) lies on one iff y + m*x is in C_m.  The vertical
+    secants are x = a for a in C_inf = {a : (a, b) in G}.  So for each x
+    the covered y of slope m form the coset m*x + C_m.  Reducing m*x by an
+    echelon basis of C_m names that coset, F2-linearly in x, so the names
+    for all x come from those of the r unit vectors, and one bit mask per
+    coset serves every x that meets it."""
+    spec = group.spec
+    q, exp, log = spec.q, spec.exp, spec.log
+    covered = [0] * q
+    for a, b in group.elements:  # the arc itself, on no secant when k = 1
+        covered[a] |= 1 << b
+    full = (1 << q) - 1
+    # bit y of lows[j] is set when bit j of y is clear
+    lows = [((1 << (1 << j)) - 1) * (full // ((1 << (2 << j)) - 1)) for j in range(spec.r)]
+    vertical: set[int] = set()
+    for ga, gb in group.elements[1:]:
+        if not ga:
+            vertical = {a for a, _ in group.elements}
+            continue
+        lm = log[exp[log[gb] + q - 1 - log[ga]]]
+        echelon: dict[int, int] = {}  # top bit -> basis vector of C_m
+        for a, b in group.basis:
+            c = b ^ exp[lm + log[a]]
+            while c and c.bit_length() - 1 in echelon:
+                c ^= echelon[c.bit_length() - 1]
+            if c:
+                echelon[c.bit_length() - 1] = c
+        reducers = sorted(echelon.items(), reverse=True)
+        names = [0]
+        for j in range(spec.r):
+            name = exp[lm + log[1 << j]]
+            for top, v in reducers:
+                if name >> top & 1:
+                    name ^= v
+            names += [t ^ name for t in names]
+        # the names are the values with no pivot bit; the mask of t + 2^j,
+        # for a bit j that is no pivot, is that of t with y and y + 2^j swapped
+        masks = {0: sum(1 << c for c in {b ^ exp[lm + log[a]] for a, b in group.elements})}
+        for j, low in enumerate(lows):
+            if j not in echelon:
+                h = 1 << j
+                masks.update(
+                    [(t | h, (mask & low) << h | (mask >> h) & low) for t, mask in masks.items()]
+                )
+        covered = [row | masks[name] for row, name in zip(covered, names)]
+    rows = [0 if x in vertical else full ^ row for x, row in enumerate(covered)]
+    directions = set(secant_directions(group))
+    at_infinity = [p for p in pp._line_points(spec, LINE_AT_INFINITY) if p not in directions]
+    return rows, at_infinity
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +475,47 @@ def _normal_form_kernel(spec, alpha, beta, i) -> list[Pair]:
     return [(vec & mask, vec >> r) for vec in kernel_vecs]
 
 
+def _normal_form_parameters(group: AdditiveSubgroup, i: int) -> list[Pair]:
+    """The pairs (alpha, beta) whose normal form with exponent 2^i vanishes
+    on all of G, by solving a linear system over F_q.
+
+    With d = x + y the normal form reads alpha*d + beta*d^(2^i) =
+    y + y^(2^i), one equation over F_q in the unknowns (alpha, beta).  Its
+    coefficients and its right side are F2-linear in (x, y), so the
+    equations of G's basis imply those of every element of G.  The first
+    basis row with d != 0 (so d^(2^i) != 0 too) leaves the line of q pairs
+    beta = (y + y^(2^i) + d*alpha) / d^(2^i), and the other rows cut it to
+    one pair or none if one of them is independent of it (rank 2), else to
+    the whole line or none (rank 1).  With no such row (rank 0) the system
+    holds for all q^2 pairs or for none."""
+    spec = group.spec
+    exp, log = spec.exp, spec.log
+    rows = [(x ^ y, spec.frob(x ^ y, i), y ^ spec.frob(y, i)) for x, y in group.basis]
+    pivot = next((row for row in rows if row[0]), None)
+    if pivot is None:
+        candidates = [(a, b) for a in spec.elements() for b in spec.elements()]
+    else:
+        d, e, c = pivot
+        le = spec.q - 1 - log[e]
+        candidates = [(a, exp[log[c ^ exp[log[d] + log[a]]] + le]) for a in spec.elements()]
+    return [
+        (a, b)
+        for a, b in candidates
+        if all(exp[log[a] + log[d]] ^ exp[log[b] + log[e]] == c for d, e, c in rows)
+    ]
+
+
 def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:
     """All translation q-arcs containing the orbit arc of G.
 
-    Enumerates the normal-form parameters directly and keeps the solutions
-    that are q-arcs through the original orbit.  Requires (0,0) and (1,1)
-    in G so the normal form applies as stated.
+    A translation q-arc through (0,0) and (1,1) is the solution set of a
+    normal form a*x + (a+1)*y + b*x^(2^i) + (b+1)*y^(2^i) = 0 with
+    gcd(i, r) = 1.  It contains G exactly when the form vanishes on G, a
+    linear system in (a, b) over F_q of at most dim G equations, solved by
+    _normal_form_parameters: one pair at rank 2, a line of q pairs at
+    rank 1, all q^2 pairs or none at rank 0.  normal_form_q_arc is called
+    on those solutions only, not on all q^2 pairs.  Requires (0,0) and
+    (1,1) in G so the normal form applies as stated.
     """
     spec = group.spec
     if (0, 0) not in group or (1, 1) not in group:
@@ -420,27 +523,12 @@ def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:
     exponents = [i for i in range(1, spec.r) if gcd(i, spec.r) == 1]
     if spec.r == 1:
         exponents = [1]
-    exp, log = spec.exp, spec.log
     found: dict[tuple, Arc] = {}
     for i in exponents:
-        # the normal form at each element of G, split into its alpha part
-        # (evaluated once per alpha) and its beta part, all as logs
-        logs = [
-            (log[x], log[y], log[spec.frob(x, i)], log[spec.frob(y, i)])
-            for x, y in group.elements
-        ]
-        for alpha in spec.elements():
-            la, la1 = log[alpha], log[alpha ^ 1]
-            alpha_part = [(exp[la + lx] ^ exp[la1 + ly], lxf, lyf) for lx, ly, lxf, lyf in logs]
-            for beta in spec.elements():
-                lb, lb1 = log[beta], log[beta ^ 1]
-                if any(
-                    v ^ exp[lb + lxf] ^ exp[lb1 + lyf] for v, lxf, lyf in alpha_part
-                ):
-                    continue
-                arc = normal_form_q_arc(spec, alpha, beta, i)
-                if arc is not None:
-                    found.setdefault(arc.points, arc)
+        for alpha, beta in _normal_form_parameters(group, i):
+            arc = normal_form_q_arc(spec, alpha, beta, i)
+            if arc is not None:
+                found.setdefault(arc.points, arc)
     return [found[key] for key in sorted(found)]
 
 
@@ -488,22 +576,26 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
     spec = field_make(r)
     group = _graph_subgroup(spec, _subfield_basis(spec, s), 1)
     superarcs = translation_superarcs(group)
-    forbidden = set().union(*(set(a.points) for a in superarcs)) if superarcs else set()
+    forbidden = [0] * spec.q  # bit y of forbidden[x]: (x, y, 1) on a superarc
+    for superarc in superarcs:
+        for x, y, _ in superarc.points:
+            forbidden[x] |= 1 << y
 
     chosen: list[Pair] = []
     seed_size = group.order
     while True:
-        arc = translation_arc(group)
-        uncovered, at_infinity = _uncovered(arc)
-        if not uncovered:
+        uncovered, at_infinity = _translation_uncovered(group)
+        if not any(uncovered):
             break
-        pool = uncovered if chosen else [p for p in uncovered if p not in forbidden]
-        if not pool:
+        pool = uncovered if chosen else [u & ~f for u, f in zip(uncovered, forbidden)]
+        a = next((x for x, row in enumerate(pool) if row), None)
+        if a is None:
             raise ArcError("no uncovered point avoids the containing q-arcs")
-        a, b, _ = min(pool)
+        b = (pool[a] & -pool[a]).bit_length() - 1
         group = extend_double(group, (a, b))
         chosen.append((a, b))
 
+    arc = translation_arc(group)
     hyper, _ = _complete_hyperoval(arc, at_infinity)
     return CompletionReport(
         spec=spec,
@@ -565,40 +657,53 @@ def subplane_bound(arc: Arc) -> str:
 # Exhaustive subgroup enumeration (service for sweeps and searches)
 
 
+def _echelon_bases(spec: FieldSpec, dims, key):
+    """Reduced-echelon bases of the F2-subspaces of F_q x F_q of each
+    dimension in dims whose nonzero elements have pairwise distinct keys,
+    key[a + b*2^r] for the element (a, b).
+
+    Pivot sets run from the highest bits down, and the vector of each pivot
+    ranges over its free bits, those below it that are no pivot, the first
+    vector's fastest.  Each basis is built last vector first, so the first
+    vector is chosen innermost.  The span of the vectors chosen so far and
+    the keys of its nonzero elements are carried down, and a choice whose
+    new elements repeat a key is dropped with every basis that would extend
+    it: a span that repeats a key stays a subset of every span extending
+    it."""
+    r, q = spec.r, spec.q
+
+    def extend(level, choices, span, keys, tail):
+        for v in choices[level]:
+            fresh = [e ^ v for e in span]
+            grown = keys.union([key[e] for e in fresh])
+            if len(grown) != len(keys) + len(fresh):
+                continue
+            basis = ((v & (q - 1), v >> r),) + tail
+            if level:
+                yield from extend(level - 1, choices, span + fresh, grown, basis)
+            else:
+                yield basis
+
+    for dim in dims:
+        if dim == 0:
+            yield ()
+            continue
+        for pivots in combinations(range(2 * r - 1, -1, -1), dim):
+            choices = []
+            for p in pivots:
+                vecs = [1 << p]
+                for b in range(p):
+                    if b not in pivots:
+                        vecs += [v | 1 << b for v in vecs]
+                choices.append(vecs)
+            yield from extend(dim - 1, choices, [0], set(), ())
+
+
 def enumerate_subgroups(spec: FieldSpec, dim: int):
     """All F2-subspaces of F_q x F_q of the given dimension, as basis tuples
-    of pairs, one subspace each (reduced echelon enumeration)."""
-    n = 2 * spec.r
-    mask_of = lambda bits: sum(1 << b for b in bits)
-
-    def decode(vec: int) -> Pair:
-        return (vec & (spec.q - 1), vec >> spec.r)
-
-    for pivots in combinations(range(n - 1, -1, -1), dim):
-        free_positions = [
-            [b for b in range(p) if b not in pivots] for p in pivots
-        ]
-        counters = [0] * dim
-        sizes = [1 << len(f) for f in free_positions]
-        while True:
-            basis = []
-            for i, p in enumerate(pivots):
-                vec = 1 << p
-                c = counters[i]
-                for j, b in enumerate(free_positions[i]):
-                    if (c >> j) & 1:
-                        vec |= 1 << b
-                basis.append(decode(vec))
-            yield tuple(basis)
-            i = 0
-            while i < dim:
-                counters[i] += 1
-                if counters[i] < sizes[i]:
-                    break
-                counters[i] = 0
-                i += 1
-            if i == dim:
-                break
+    of pairs, one subspace each (reduced echelon enumeration).  Keyed by
+    the elements themselves, no span repeats a key, so none is dropped."""
+    return _echelon_bases(spec, (dim,), range(spec.q * spec.q))
 
 
 def _distinct_slopes(spec: FieldSpec, basis) -> bool:
@@ -628,10 +733,15 @@ def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
 
 def enumerate_arc_subgroups(spec: FieldSpec, dims):
     """Exhaustively enumerate the subgroups of the given dimensions whose
-    orbit is an arc, yielding basis tuples."""
+    orbit is an arc, yielding basis tuples: the bases of enumerate_subgroups
+    that pass the slope test, in the same order.  The slope test depends
+    only on the span, so _echelon_bases keyed by slope drops every basis
+    whose first chosen vectors already span a repeated slope."""
     if spec.r > 8:
         raise ArcError("exhaustive sweeps are supported for r <= 8")
-    for dim in dims:
-        for basis in enumerate_subgroups(spec, dim):
-            if _distinct_slopes(spec, basis):
-                yield basis
+    r, q = spec.r, spec.q
+    exp, log = spec.exp, spec.log
+    # slope b / a of the element a + b*2^r, with q for infinity
+    slope = [exp[log[v >> r] + q - 1 - log[v & (q - 1)]] if v & (q - 1) else q
+             for v in range(q * q)]
+    yield from _echelon_bases(spec, dims, slope)

@@ -349,6 +349,30 @@ def test_a6_completion_certificate():
     )
 
 
+@pytest.mark.parametrize(
+    "r,s,expected",
+    [
+        (8, 4, {"arc_size": 64, "seed_size": 16, "chosen": [[0, 2], [2, 12]], "superarcs": 2}),
+        (9, 3, {"arc_size": 128, "seed_size": 8,
+                "chosen": [[0, 2], [2, 1], [4, 8], [8, 77]], "superarcs": 3}),
+    ],
+)
+def test_completion_certificates_r8_r9(r, s, expected):
+    t = time.monotonic()
+    report = build_complete_translation_arc(r, s)
+    elapsed = time.monotonic() - t
+    cert = report.to_json()
+    assert cert.pop("field") == field_make(r).to_json()
+    assert cert == {
+        **expected,
+        "uncovered_empty": True,
+        "hyperoval": "NOT_CONTAINED",
+        "subplane": "NOT_CONTAINED",
+    }
+    assert elapsed < 60.0
+    print(f"\n({r}, {s}) certificate, arc size {len(report.arc)}, {elapsed:.2f}s")
+
+
 # ---------------------------------------------------------------------------
 # A7: classification of sizes up to 10
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -396,6 +397,51 @@ def test_uncovered_disjoint_from_arc_and_secants():
         assert not any(pp.incident(GF16, p, l) for l in lines)
 
 
+def random_arc_group(spec, rng, dim):
+    """A random subgroup of the given dimension whose orbit is an arc."""
+    basis = []
+    while len(basis) < dim:
+        cand = (rng.randrange(spec.q), rng.randrange(spec.q))
+        try:
+            g = subgroup_make(spec, basis + [cand])
+        except ArcError:
+            continue
+        if is_translation_arc_group(g):
+            basis.append(cand)
+    return subgroup_make(spec, basis)
+
+
+def coset_uncovered(group):
+    """_translation_uncovered read out as _uncovered's (affine, at_infinity)."""
+    rows, at_infinity = arcs._translation_uncovered(group)
+    q = group.spec.q
+    affine = tuple((x, y, 1) for x, row in enumerate(rows) for y in range(q) if row >> y & 1)
+    return affine, at_infinity
+
+
+def test_coset_coverage_matches_secant_walk():
+    # the completion's coverage by intercept cosets against the walk over
+    # the secants' points, on seeded random translation arcs, r <= 8, on
+    # the quadrangle (slopes 0 and infinity) and on the affinely complete
+    # (6, 3) certificate arc
+    rng = random.Random(612)
+    cases = [subgroup_make(field_make(1), [(1, 1)]), subgroup_make(GF8, []), quad_group(GF16)]
+    for r in range(2, 9):
+        spec = field_make(r)
+        for _ in range(5):
+            cases.append(random_arc_group(spec, rng, rng.randrange(1, min(r, 4) + 1)))
+    complete = conic_subfield_group(field_make(6), 3)
+    for a, b in build_complete_translation_arc(6, 3).chosen:
+        complete = extend_double(complete, (a, b))
+    cases.append(complete)
+    sizes = set()
+    for g in cases:
+        affine, at_infinity = coset_uncovered(g)
+        assert (affine, at_infinity) == arcs._uncovered(translation_arc(g)), g.basis
+        sizes.add(bool(affine))
+    assert sizes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Normal-form q-arcs
 
@@ -479,6 +525,51 @@ def test_superarcs_r6_bound_and_membership():
     for a in supers:
         assert seed <= set(a.points)
         assert len(a) == 64
+
+
+def superarcs_by_scan(group):
+    """translation_superarcs by scanning every (alpha, beta) in F_q x F_q
+    for a normal form that vanishes on G, as it was done before the linear
+    system."""
+    spec = group.spec
+    exponents = [i for i in range(1, spec.r) if gcd(i, spec.r) == 1] or [1]
+    exp, log = spec.exp, spec.log
+    found = {}
+    for i in exponents:
+        logs = [
+            (log[x], log[y], log[spec.frob(x, i)], log[spec.frob(y, i)])
+            for x, y in group.elements
+        ]
+        for alpha in spec.elements():
+            la, la1 = log[alpha], log[alpha ^ 1]
+            alpha_part = [(exp[la + lx] ^ exp[la1 + ly], lxf, lyf) for lx, ly, lxf, lyf in logs]
+            for beta in spec.elements():
+                lb, lb1 = log[beta], log[beta ^ 1]
+                if any(v ^ exp[lb + lxf] ^ exp[lb1 + lyf] for v, lxf, lyf in alpha_part):
+                    continue
+                arc = normal_form_q_arc(spec, alpha, beta, i)
+                if arc is not None:
+                    found.setdefault(arc.points, arc)
+    return [found[key].points for key in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "r,s", [(r, s) for r in range(1, 7) for s in range(1, r + 1) if r % s == 0]
+)
+def test_superarcs_match_parameter_scan(r, s):
+    # the conic group over GF(2^s) gives a system of rank 0 (s = 1: every
+    # pair solves it), rank 1 (s = 2: a line of q pairs) or rank 2 (s >= 3:
+    # at most one pair)
+    spec = field_make(r)
+    g = conic_subfield_group(spec, s)
+    assert [a.points for a in translation_superarcs(g)] == superarcs_by_scan(g)
+    exponents = [i for i in range(1, r) if gcd(i, r) == 1] or [1]
+    counts = {len(arcs._normal_form_parameters(g, i)) for i in exponents}
+    expected = {1: {spec.q ** 2}, 2: {spec.q}}.get(s)
+    if expected is None:
+        assert counts <= {0, 1}
+    else:
+        assert counts == expected
 
 
 def test_superarcs_require_zero_and_one():
@@ -660,6 +751,43 @@ def test_enumerate_subgroups_counts(r, dim):
         assert g.order == 1 << dim
         seen.add(g.elements)
     assert len(seen) == count_subspaces(2 * r, dim)
+
+
+def subgroups_by_counters(spec, dim):
+    """enumerate_subgroups as a loop over one counter per pivot, the first
+    counter fastest, as it was done before the shared echelon generator."""
+    for pivots in combinations(range(2 * spec.r - 1, -1, -1), dim):
+        free = [[b for b in range(p) if b not in pivots] for p in pivots]
+        for counters in product(*(range(1 << len(f)) for f in reversed(free))):
+            basis = []
+            for p, f, c in zip(pivots, free, reversed(counters)):
+                vec = (1 << p) | sum(1 << b for j, b in enumerate(f) if c >> j & 1)
+                basis.append((vec & (spec.q - 1), vec >> spec.r))
+            yield tuple(basis)
+
+
+@pytest.mark.parametrize(
+    "r,dim", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]
+)
+def test_enumerate_subgroups_matches_counter_loop(r, dim):
+    spec = field_make(r)
+    assert list(enumerate_subgroups(spec, dim)) == list(subgroups_by_counters(spec, dim))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_enumerate_arc_subgroups_is_filtered_enumeration(r):
+    # the pruned enumeration yields exactly the bases of enumerate_subgroups
+    # that pass the slope test, in the same order
+    spec = field_make(r)
+    dims = (2, 3, 4)
+    want = [
+        b for d in dims for b in enumerate_subgroups(spec, d) if arcs._distinct_slopes(spec, b)
+    ]
+    assert list(arcs.enumerate_arc_subgroups(spec, dims)) == want
+
+
+def test_enumerate_arc_subgroups_r4_count():
+    assert sum(1 for _ in arcs.enumerate_arc_subgroups(GF16, (3, 4))) == 65280
 
 
 def test_arc_group_slope_criterion_matches_direct_check():

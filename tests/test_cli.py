@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,14 @@ def test_arc_complete(capsys):
     assert report["verdicts"]["subplane"] == "NOT_CONTAINED"
     cert = report["results"]["certificate"]
     assert cert["arc_size"] >= 16
+
+
+def test_arc_complete_matches_benchmark_golden(capsys):
+    code, out, _ = run(capsys, "arc", "complete", "--r", "6", "--s", "3")
+    root = Path(__file__).resolve().parents[1]
+    golden = (root / "perfbench" / "golden" / "arc_complete_r6_s3.json").read_text()
+    assert code == 0
+    assert re.sub(r'^\s*"duration_s": .*\n', "", out, flags=re.MULTILINE) == golden
 
 
 # ---------------------------------------------------------------------------
