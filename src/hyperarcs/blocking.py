@@ -12,7 +12,7 @@ arc: each blocker's secants read off a perfect matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
@@ -343,41 +343,24 @@ def factorization_of(arc: Arc, blocking: BlockingSet) -> OneFactorization:
 # Projective equivalence of arcs
 
 
-def _frame_images(arc: Arc, frames):
-    """For each ordered 4-subset of arc indices in frames, the sorted image
-    of the arc under the map sending those four points to the standard
-    frame.
-
-    Any 4 arc points are in general position, so every ordered 4-subset is
-    a frame for pp._to_standard_frame, and it maps onto the standard frame
-    itself; only the other points' images are computed."""
-    spec = arc.spec
-    exp, log = spec.exp, spec.log
-    shift = spec.q - 1
-    pts = arc.points
-    point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
-
-    for frame in frames:
-        rows = pp._to_standard_frame(spec, *(pts[i] for i in frame))
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
-            (log[m[0]], log[m[1]], log[m[2]]) for m in rows
-        )
-        image = list(pp.STANDARD_FRAME)
-        for j, (l0, l1, l2) in enumerate(point_logs):
-            if j in frame:
-                continue
-            x = exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]
-            y = exp[b0 + l0] ^ exp[b1 + l1] ^ exp[b2 + l2]
-            z = exp[c0 + l0] ^ exp[c1 + l1] ^ exp[c2 + l2]
-            if z:
-                s = shift - log[z]
-                image.append((exp[log[x] + s], exp[log[y] + s], 1))
-            elif y:
-                image.append((exp[log[x] + shift - log[y]], 1, 0))
-            else:
-                image.append((1, 0, 0))
-        image.sort()
-        yield tuple(image)
+# The stabilizer of STANDARD_FRAME in PGL(3, q).  The frame is the square
+# {0,1}^2 of the affine plane, and the affine maps (x, y) -> A(x, y) + t with
+# A in GL(2,2) and t in {0,1}^2 permute it; their matrices have entries 0
+# and 1 only, so they act over every GF(2^r).  There are 24 of them, and a
+# projectivity is fixed by the image of an ordered frame, so they are the
+# whole stabilizer and induce all 24 permutations of the frame.  Each map is
+# kept as its rows (a, b, c) and (d, e, f), coded 4b + 2a + c: the row's
+# value at (x, y, 1) is that entry of (0, 1, x, x+1, y, y+1, x+y, x+y+1).
+_GL22 = (
+    ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
+    ((1, 0), (1, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0)),
+)
+_FRAME_STABILIZER = tuple(
+    (4 * b + 2 * a + c, 4 * e + 2 * d + f)
+    for (a, b), (d, e) in _GL22
+    for c in (0, 1)
+    for f in (0, 1)
+)
 
 
 def _four_subsets(arc: Arc):
@@ -388,19 +371,67 @@ def _four_subsets(arc: Arc):
 
 
 def _subset_images(arc: Arc, subsets):
-    """For each 4-subset of arc indices, its label: the least frame image
-    over its 24 orderings."""
+    """For each 4-subset of arc indices, its label: the least sorted image
+    of the arc over the 24 maps sending an ordering of the subset to the
+    standard frame.
+
+    Any 4 arc points are in general position, so the subset in increasing
+    order is a frame for pp._to_standard_frame, with matrix M.  The map of
+    any other ordering is Q M for one Q of the frame's stabilizer, and each
+    Q gives one ordering.  Every image holds the standard frame itself, so
+    only the other k - 4 points are mapped: through M once, normalized, and
+    then through each Q.  An affine point (x, y, 1) goes to
+    (ax + by + c, dx + ey + f, 1) by XOR alone; a point at infinity goes to
+    (ax + by, dx + ey, 0), normalized by one table division."""
+    spec = arc.spec
+    exp, log = spec.exp, spec.log
+    shift = spec.q - 1
+    pts = arc.points
+    point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
+    frame = pp.STANDARD_FRAME
+
     for subset in subsets:
-        yield min(_frame_images(arc, permutations(subset)))
+        rows = pp._to_standard_frame(spec, *(pts[i] for i in subset))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+            (log[m[0]], log[m[1]], log[m[2]]) for m in rows
+        )
+        # the 24 images of each other point, one list per point
+        columns = []
+        for j, (l0, l1, l2) in enumerate(point_logs):
+            if j in subset:
+                continue
+            x = exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]
+            y = exp[b0 + l0] ^ exp[b1 + l1] ^ exp[b2 + l2]
+            z = exp[c0 + l0] ^ exp[c1 + l1] ^ exp[c2 + l2]
+            if z:
+                s = shift - log[z]
+                x, y = exp[log[x] + s], exp[log[y] + s]
+                w = (0, 1, x, x ^ 1, y, y ^ 1, x ^ y, x ^ y ^ 1)
+                columns.append([(w[u], w[v], 1) for u, v in _FRAME_STABILIZER])
+            else:
+                # on the line at infinity the translation part drops out
+                w = (0, 0, x, x, y, y, x ^ y, x ^ y)
+                columns.append([
+                    (exp[log[w[u]] + shift - log[w[v]]], 1, 0) if w[v] else (1, 0, 0)
+                    for u, v in _FRAME_STABILIZER
+                ])
+        # The images share the frame and are disjoint from it, so their
+        # sorted forms compare as the sorted images of the other points do:
+        # either order puts first the set holding the least point of the
+        # symmetric difference.
+        best = min((sorted(images) for images in zip(*columns)), default=())
+        yield tuple(sorted((*frame, *best)))
 
 
 def arc_canonical_form(arc: Arc) -> tuple:
     """Canonical representative of the arc's projective class: the least
     sorted image over all k(k-1)(k-2)(k-3) maps sending an ordered 4-subset
     of the arc to the standard frame.  Equal forms mean projectively
-    equivalent arcs.  To reduce many arcs to their classes, ArcClasses
-    returns the same form for 24 frame images per arc after the first arc
-    of each class."""
+    equivalent arcs.  Each 4-subset costs one projectivity, and its 24
+    orderings 24 images by XOR through the frame's stabilizer.  To reduce
+    many arcs to their classes, ArcClasses returns the same form for one
+    projectivity and 24 XOR images per arc after the first arc of each
+    class."""
     return min(_subset_images(arc, _four_subsets(arc)))
 
 
@@ -417,6 +448,11 @@ def projectively_equivalent(a: Arc, b: Arc) -> bool:
     and of g(S) pair off with equal images, and label(b, g(S)) = label(a, S).
     Conversely, if label(a, S) = label(b, T), then image(a, f) = image(b, h)
     for some orderings f of S and h of T, and M_h^-1 M_f maps a onto b.
+    The label needs one projectivity per subset: for two orderings f and g
+    of S, M_g M_f^-1 sends the standard frame onto itself, so M_g = Q M_f
+    for a Q in the frame's stabilizer, the 24 affine maps AGL(2,2) of the
+    square {0,1}^2; each Q gives one ordering g, and label(a, S) is the
+    least sorted Q M_f(a) over the 24 maps Q, f the increasing ordering.
     Hence a and b are equivalent if and only if the label of a's first
     4-subset is among the labels of b's 4-subsets, and the scan stops at the
     first match.  Equivalent arcs have the same set of labels, and so the
@@ -439,9 +475,10 @@ class ArcClasses:
     that set belongs to the class.  The table maps every label of every
     class met so far to the least of them, the canonical form; an arc's
     first label is therefore found exactly when its class has been met, and
-    the form stored there is its own.  Keying by label, not by frame image,
-    stores 24 times fewer keys (70 per class of 8-arcs) for 24 frame images
-    per lookup."""
+    the form stored there is its own.  A later arc of a met class costs its
+    first label only: one projectivity and the 24 XOR images of its other
+    points.  Keying by label, not by frame image, stores 24 times fewer keys
+    (70 per class of 8-arcs) for those 24 images per lookup."""
 
     def __init__(self):
         # field -> 4-subset label -> canonical form; labels carry no field

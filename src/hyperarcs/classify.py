@@ -63,7 +63,12 @@ class ClassificationReport:
 
     def matches_example(self) -> bool | None:
         """Whether the non-linear instances are exactly the known 8-arc
-        class; None when that example does not exist at this q."""
+        class; None when that example does not exist at this q.
+
+        The known class is that of ghf_eight(spec), the first valid triple
+        only.  At q = 16 the construction gives one class, so the answer is
+        exact; at q = 32 it gives 15 and this reads False, although every
+        class found comes from the construction (ROADMAP item 2)."""
         if not self.example_exists:
             return None
         return all(form == self.example_form for _, form in self.nonlinear_forms)

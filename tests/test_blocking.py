@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -617,3 +617,111 @@ def test_projectively_equivalent_needs_same_size_and_plane():
     assert quad_arc(GF8).points == quad_arc(GF16).points
     assert not projectively_equivalent(quad_arc(GF8), quad_arc(GF16))
     assert projectively_equivalent(quad_arc(GF16), quad_arc(GF16))
+
+
+# ---------------------------------------------------------------------------
+# 4-subset labels through the standard frame's stabilizer
+
+
+def test_frame_stabilizer_is_the_affine_group_of_the_square():
+    from hyperarcs.blocking import _FRAME_STABILIZER
+
+    frame = pp.STANDARD_FRAME
+    assert len(_FRAME_STABILIZER) == 24
+    # a row coded 4b + 2a + c is the row (a, b, c)
+    maps = [
+        tuple((code >> 1 & 1, code >> 2, code & 1) for code in rows) + ((0, 0, 1),)
+        for rows in _FRAME_STABILIZER
+    ]
+    induced = set()
+    for spec in (GF4, GF16):
+        for q_map in maps:
+            images = [pp.apply_point(spec, q_map, p) for p in frame]
+            assert sorted(images) == sorted(frame)
+            induced.add(tuple(frame.index(p) for p in images))
+            # the ordered frame that q_map sends onto the standard frame
+            permuted = tuple(frame[images.index(p)] for p in frame)
+            assert pp.matrix_make(spec, q_map) == pp.frame_map(spec, permuted, frame)
+    assert induced == set(permutations(range(4)))
+
+
+def frame_images(arc, frames):
+    """Oracle: for each ordered 4-subset of arc indices, the sorted image of
+    the arc under a fresh matrix sending those points to the standard frame;
+    every other point is mapped by 9 table multiplies and normalized."""
+    spec = arc.spec
+    exp, log = spec.exp, spec.log
+    shift = spec.q - 1
+    pts = arc.points
+    point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
+    for frame in frames:
+        rows = pp._to_standard_frame(spec, *(pts[i] for i in frame))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+            (log[m[0]], log[m[1]], log[m[2]]) for m in rows
+        )
+        image = list(pp.STANDARD_FRAME)
+        for j, (l0, l1, l2) in enumerate(point_logs):
+            if j in frame:
+                continue
+            x = exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]
+            y = exp[b0 + l0] ^ exp[b1 + l1] ^ exp[b2 + l2]
+            z = exp[c0 + l0] ^ exp[c1 + l1] ^ exp[c2 + l2]
+            if z:
+                s = shift - log[z]
+                image.append((exp[log[x] + s], exp[log[y] + s], 1))
+            elif y:
+                image.append((exp[log[x] + shift - log[y]], 1, 0))
+            else:
+                image.append((1, 0, 0))
+        image.sort()
+        yield tuple(image)
+
+
+def labels_by_orderings(arc):
+    """Oracle: each 4-subset's label as the least frame image over its 24
+    orderings, each with its own frame matrix."""
+    return [
+        min(frame_images(arc, permutations(subset)))
+        for subset in combinations(range(len(arc)), 4)
+    ]
+
+
+def arc_through_infinity(spec, k, rng):
+    """A random k-arc holding two points at infinity: greedy from a shuffled
+    plane, after two shuffled points of the line at infinity."""
+    pts = pp.all_points(spec)
+    rng.shuffle(pts)
+    at_infinity = [p for p in pts if p[2] == 0]
+    chosen = at_infinity[:2]
+    for p in pts:
+        if p in chosen:
+            continue
+        if not any(pp.collinear(spec, p, a, b) for a, b in combinations(chosen, 2)):
+            chosen.append(p)
+            if len(chosen) == k:
+                return Arc(spec, tuple(chosen))
+    raise AssertionError(f"no {k}-arc from this shuffle")
+
+
+def test_subset_labels_match_per_ordering_oracle():
+    from hyperarcs.blocking import _four_subsets, _subset_images
+
+    rng = random.Random(13)
+    # the regular hyperoval of PG(2,4): the conic y = x^2 and its nucleus
+    hyperoval = Arc(
+        GF4,
+        tuple((t, GF4.mul(t, t), 1) for t in GF4.elements()) + ((0, 1, 0), (1, 0, 0)),
+    )
+    arcs = [hyperoval]
+    for spec in (GF4, GF8, GF16, GF32):
+        for k in range(4, min(spec.q + 2, 10) + 1):
+            arcs.append(random_arc(spec, k, rng))
+            arcs.append(arc_through_infinity(spec, k, rng))
+    at_infinity = 0
+    for arc in arcs:
+        labels = list(_subset_images(arc, _four_subsets(arc)))
+        assert labels == labels_by_orderings(arc)
+        at_infinity += sum(p[2] == 0 for label in labels for p in label)
+    # a label point at infinity comes from a point that the frame matrix
+    # sends to infinity: every map of the stabilizer fixes that line
+    assert at_infinity > 0
