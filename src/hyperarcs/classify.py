@@ -20,15 +20,13 @@ from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
 from hyperarcs.blocking import ArcClasses, BlockingError, ghf_eight
 from hyperarcs.onefact import (
+    MAX_VERTICES,
     FactorizationError,
     OneFactorization,
     closure,
     embed_search,
     enumerate_factorizations,
 )
-
-
-MAX_K = 10
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,11 @@ class ClassificationReport:
     rows: tuple[ClassRow, ...]
     nonlinear_forms: tuple  # (k, canonical form) pairs, deduplicated
     example_form: tuple | None  # canonical form of the doubled-quadrangle arc
-    example_exists: bool
     exhaustive: bool
+
+    @property
+    def example_exists(self) -> bool:
+        return self.example_form is not None
 
     @property
     def nonlinear_ks(self) -> tuple[int, ...]:
@@ -63,7 +64,8 @@ class ClassificationReport:
 
     def matches_example(self) -> bool | None:
         """Whether the non-linear instances are exactly the known 8-arc
-        class; None when that example does not exist at this q.
+        class; None when that example does not exist at this q, and False
+        when no non-linear instance was found.
 
         The known class is that of ghf_eight(spec), the first valid triple
         only.  At q = 16 the construction gives one class, so the answer is
@@ -71,7 +73,7 @@ class ClassificationReport:
         class found comes from the construction (ROADMAP item 2)."""
         if not self.example_exists:
             return None
-        return all(form == self.example_form for _, form in self.nonlinear_forms)
+        return {form for _, form in self.nonlinear_forms} == {self.example_form}
 
     def to_json(self) -> dict:
         return {
@@ -114,13 +116,14 @@ def classify_ghf(
     sweep covers k = 2n for n in 3..max_k//2.  catalogs may carry
     pre-enumerated factorization lists keyed by n; embed_budget bounds the
     per-class embedding search node count (None = exhaustive).  max_k
-    stops at MAX_K: K12 has 526,915,620 classes, and the embedding search
-    takes at most 10 vertices.
+    runs from 6, the first size swept, to onefact.MAX_VERTICES.
     """
-    if max_k > MAX_K:
-        raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_K}")
+    if max_k > MAX_VERTICES:
+        raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_VERTICES}")
+    if max_k < 6:
+        raise FactorizationError(f"max_k = {max_k} is below the first swept size 6")
     rows: list[ClassRow] = []
-    nonlinear: dict[tuple, int] = {}
+    nonlinear: set[tuple] = set()
     classes = ArcClasses()
     exhaustive = True
 
@@ -146,8 +149,7 @@ def classify_ghf(
             forms = tuple(
                 sorted({classes.form(Arc(spec, pts)) for pts in arcs})
             )
-            for form in forms:
-                nonlinear[(2 * n, form)] = idx
+            nonlinear.update((2 * n, form) for form in forms)
             rows.append(
                 ClassRow(
                     n,
@@ -164,21 +166,17 @@ def classify_ghf(
             )
 
     example_form = None
-    example_exists = False
     try:
         example_arc, _, _ = ghf_eight(spec)
         example_form = classes.form(example_arc)
-        example_exists = True
     except BlockingError:
         pass
 
-    dedup = tuple(sorted(set(nonlinear)))
     return ClassificationReport(
         q=spec.q,
         max_k=max_k,
         rows=tuple(rows),
-        nonlinear_forms=dedup,
+        nonlinear_forms=tuple(sorted(nonlinear)),
         example_form=example_form,
-        example_exists=example_exists,
         exhaustive=exhaustive,
     )

@@ -66,14 +66,11 @@ def _parse_field_value(text: str) -> int:
 
 
 def _field_from_args(args) -> FieldSpec:
-    if getattr(args, "q", None) is not None:
-        q = args.q
-        if q < 1 or q & (q - 1):
-            raise UsageError(f"q = {q} is not a power of two")
-        return field_make(q.bit_length() - 1, args.poly)
-    if getattr(args, "r", None) is None:
-        raise UsageError("a field is required: give --r (or --q)")
-    return field_make(args.r, args.poly)
+    if args.q is None:
+        return field_make(args.r, args.poly)
+    if args.q < 1 or args.q & (args.q - 1):
+        raise UsageError(f"q = {args.q} is not a power of two")
+    return field_make(args.q.bit_length() - 1, args.poly)
 
 
 def _parse_basis(text: str) -> list[int]:
@@ -115,7 +112,7 @@ def _cmd_field(args, report: RunReport) -> int:
 def _cmd_arc_build(args, report: RunReport) -> int:
     spec = _field_from_args(args)
     report.field = spec.to_json()
-    basis = _parse_basis(args.h_basis) if args.h_basis else _default_field_basis(spec)
+    basis = _parse_basis(args.h_basis) if args.h_basis else [1 << k for k in range(spec.r)]
     report.inputs["example"] = args.example
     if args.example == "n1":
         arc = conic_translation_arc(spec, basis)
@@ -136,8 +133,6 @@ def _cmd_arc_build(args, report: RunReport) -> int:
         arc, eta, b = result
         report.verdicts["pair_found"] = True
         report.inputs.update({"eta": eta, "b": b})
-    else:
-        raise UsageError(f"unknown example {args.example!r}")
     report.results["arc"] = arc.to_json()
     report.results["size"] = len(arc)
     report.verdicts["is_arc"] = True
@@ -146,13 +141,7 @@ def _cmd_arc_build(args, report: RunReport) -> int:
     return 0
 
 
-def _default_field_basis(spec: FieldSpec) -> list[int]:
-    return [1 << k for k in range(spec.r)]
-
-
 def _cmd_arc_complete(args, report: RunReport) -> int:
-    if args.r is None or args.s is None:
-        raise UsageError("arc complete needs --r and --s")
     rep = build_complete_translation_arc(args.r, args.s)
     report.field = rep.spec.to_json()
     report.inputs.update({"r": args.r, "s": args.s})
@@ -172,8 +161,6 @@ def _cmd_arc_complete(args, report: RunReport) -> int:
 
 
 def _cmd_arc_verify(args, report: RunReport) -> int:
-    if not args.infile:
-        raise UsageError("arc verify needs --in")
     try:
         arc = arc_from_json(_load_json(args.infile))
     except CollinearError as exc:
@@ -196,8 +183,6 @@ def _cmd_arc_verify(args, report: RunReport) -> int:
 
 
 def _cmd_blocking_find(args, report: RunReport) -> int:
-    if not args.infile:
-        raise UsageError("blocking find needs --in")
     try:
         arc = arc_from_json(_load_json(args.infile))
     except (ArcError, pp.GeometryError, FieldError) as exc:
@@ -233,8 +218,6 @@ def _cmd_ghf_build(args, report: RunReport) -> int:
 
 
 def _cmd_onefact_enumerate(args, report: RunReport) -> int:
-    if args.n is None:
-        raise UsageError("onefact enumerate needs --n")
     facts = enumerate_factorizations(args.n)
     report.inputs["n"] = args.n
     report.results["classes"] = len(facts)
@@ -279,8 +262,6 @@ def _cmd_onefact_embed(args, report: RunReport) -> int:
 
 
 def _catalog_from_args(args, report: RunReport):
-    if not args.catalog:
-        raise UsageError("a --catalog file is required")
     try:
         with open(args.catalog) as fh:
             facts = parse_catalog(fh.read())
@@ -298,11 +279,9 @@ def _cmd_classify(args, report: RunReport) -> int:
     report.field = spec.to_json()
     report.inputs["max_k"] = args.max_k
     rep = classify_ghf(spec, max_k=args.max_k, embed_budget=args.budget)
-    body = rep.to_json()
-    report.results["classification"] = body
+    report.results["classification"] = rep.to_json()
     report.verdicts["exhaustive"] = rep.exhaustive
-    ks = rep.nonlinear_ks
-    report.results["nonlinear_ks"] = list(ks)
+    report.results["nonlinear_ks"] = list(rep.nonlinear_ks)
     report.results["nonlinear_classes"] = len(rep.nonlinear_forms)
     if rep.example_exists:
         report.verdicts["matches_known_eight_arc"] = rep.matches_example()
@@ -334,18 +313,18 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="subcommand", required=True
         )
 
-    def add_field_args(p, with_q=False):
-        p.add_argument("--r", type=int)
-        if with_q:
-            p.add_argument("--q", type=int)
+    def add_field_args(p):
+        field = p.add_mutually_exclusive_group(required=True)
+        field.add_argument("--r", type=int)
+        field.add_argument("--q", type=int)
         p.add_argument("--poly", type=lambda s: int(s, 16))
 
     p_field = leaf(sub, "field", _cmd_field, help="validate and describe a field")
-    add_field_args(p_field, with_q=True)
+    add_field_args(p_field)
 
     arc_sub = group("arc", "build, complete, verify arcs")
     p_build = leaf(arc_sub, "build", _cmd_arc_build)
-    add_field_args(p_build, with_q=True)
+    add_field_args(p_build)
     p_build.add_argument("--example", required=True, choices=("n1", "n2", "n3"))
     p_build.add_argument("--h-basis", dest="h_basis")
     p_build.add_argument("--i", type=int)
@@ -353,39 +332,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--b")
     p_build.add_argument("--save", help="write the arc JSON here")
     p_complete = leaf(arc_sub, "complete", _cmd_arc_complete)
-    p_complete.add_argument("--r", type=int)
-    p_complete.add_argument("--s", type=int)
+    p_complete.add_argument("--r", type=int, required=True)
+    p_complete.add_argument("--s", type=int, required=True)
     p_complete.add_argument("--save", help="write the arc JSON here")
     p_verify = leaf(arc_sub, "verify", _cmd_arc_verify)
-    p_verify.add_argument("--in", dest="infile")
+    p_verify.add_argument("--in", dest="infile", required=True)
     p_verify.add_argument("--hyperfocused", action="store_true")
 
     blocking_sub = group("blocking", "blocking sets of secants")
     p_find = leaf(blocking_sub, "find", _cmd_blocking_find)
-    p_find.add_argument("--in", dest="infile")
+    p_find.add_argument("--in", dest="infile", required=True)
     p_find.add_argument("--all", action="store_true")
 
     ghf_sub = group("ghf", "generalized hyperfocused constructions")
     p_ghf_build = leaf(ghf_sub, "build", _cmd_ghf_build)
-    add_field_args(p_ghf_build, with_q=True)
+    add_field_args(p_ghf_build)
     p_ghf_build.add_argument("--lambda", dest="lam")
     p_ghf_build.add_argument("--a1")
     p_ghf_build.add_argument("--a2")
 
     onefact_sub = group("onefact", "1-factorizations of K_2n")
     p_enum = leaf(onefact_sub, "enumerate", _cmd_onefact_enumerate)
-    p_enum.add_argument("--n", type=int)
+    p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--out", dest="catalog_out", help="write the catalog here")
     p_closure = leaf(onefact_sub, "closure", _cmd_onefact_closure)
-    p_closure.add_argument("--catalog")
+    p_closure.add_argument("--catalog", required=True)
     p_embed = leaf(onefact_sub, "embed", _cmd_onefact_embed)
-    p_embed.add_argument("--catalog")
-    add_field_args(p_embed, with_q=True)
+    p_embed.add_argument("--catalog", required=True)
+    add_field_args(p_embed)
     p_embed.add_argument("--limit", type=int)
     p_embed.add_argument("--budget", type=int)
 
     p_classify = leaf(sub, "classify", _cmd_classify, help="small GHF classification")
-    add_field_args(p_classify, with_q=True)
+    add_field_args(p_classify)
     p_classify.add_argument("--max-k", type=int, default=10)
     p_classify.add_argument("--budget", type=int)
 

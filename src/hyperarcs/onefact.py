@@ -37,6 +37,11 @@ from hyperarcs.arcs import _collinear_triple
 from hyperarcs.projplane import Point
 
 
+# The largest complete graph handled: enumeration, canonical forms and the
+# embedding search stop at K10, since K12 has 526,915,620 classes.
+MAX_VERTICES = 10
+
+
 class FactorizationError(ValueError):
     """Structurally invalid factorization or catalog data."""
 
@@ -287,11 +292,10 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
 
 def enumerate_factorizations(n: int) -> list[OneFactorization]:
     """Isomorphism-class representatives of the 1-factorizations of K_2n,
-    in deterministic canonical order.  Supported for 2 <= n <= 5, that is
-    K4 to K10 (396 classes), matching classify.MAX_K = 10; K12, with
-    526,915,620 classes, is refused."""
-    if not isinstance(n, int) or not 2 <= n <= 5:
-        raise FactorizationError(f"n = {n!r} out of supported range 2..5")
+    in deterministic canonical order.  Supported from K4 up to
+    MAX_VERTICES vertices, K10 (396 classes)."""
+    if not isinstance(n, int) or not 4 <= 2 * n <= MAX_VERTICES:
+        raise FactorizationError(f"n = {n!r} out of supported range 2..{MAX_VERTICES // 2}")
     ctx = _context(n)
     n2 = ctx.n2
     matchings = ctx.matchings
@@ -342,10 +346,10 @@ def _ranks_to_factorization(ctx: _EnumContext, ranks) -> OneFactorization:
 def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
     """Canonical representative of the isomorphism class: the factor tuple
     of the lexicographically least relabeled image.  Invariant under vertex
-    permutation and factor reorder.  Supported for 4 to 10 vertices, the
-    range enumerate_factorizations covers."""
+    permutation and factor reorder.  Supported for 4 to MAX_VERTICES
+    vertices, the range enumerate_factorizations covers."""
     n2 = fact.n_vertices
-    if n2 % 2 or not 4 <= n2 <= 10:
+    if n2 % 2 or not 4 <= n2 <= MAX_VERTICES:
         raise FactorizationError(f"unsupported vertex count {n2}")
     ctx = _context(n2 // 2)
     mine = []
@@ -553,8 +557,8 @@ def embed_search(
     max_nodes stopped the search early.
     """
     n2 = fact.n_vertices
-    if n2 > 10:
-        raise FactorizationError("embedding search supports at most 10 vertices")
+    if n2 > MAX_VERTICES:
+        raise FactorizationError(f"embedding search supports at most {MAX_VERTICES} vertices")
     if spec.q > 32:
         raise FactorizationError("embedding search supports q <= 32")
 

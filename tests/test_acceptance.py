@@ -469,6 +469,18 @@ def test_classification_q32_k8(k8_catalog, k6_catalog):
     print(f"\nq=32: 15 non-linear classes at k=8, exhaustive, {elapsed:.1f}s")
 
 
+def test_matches_example_is_false_without_nonlinear_classes(k8_catalog, k6_catalog):
+    # at q = 16 the example exists, but a sweep that stops at k = 6, or a
+    # search given no nodes, finds no non-linear class to match it
+    catalogs = {3: k6_catalog, 4: k8_catalog}
+    for max_k, budget in ((6, None), (8, 0)):
+        rep = classify_ghf(field_make(4), max_k=max_k, embed_budget=budget,
+                           catalogs=catalogs)
+        assert rep.example_exists
+        assert rep.nonlinear_forms == ()
+        assert rep.matches_example() is False
+
+
 # ---------------------------------------------------------------------------
 # A8: the exact-cover search agrees with brute force on PG(2,4)
 

@@ -1,13 +1,9 @@
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import hyperarcs
 from hyperarcs.cli import dispatch
 
 
@@ -39,12 +35,43 @@ def test_field_reducible_poly_is_config_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["field", "--r", "3", "--q", "16"], "not allowed with"),
+        (["classify", "--q", "abc"], "invalid int value"),
+    ],
+)
+def test_flag_rejected_by_argparse_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_command_usage_error(capsys):
     assert dispatch(["frobnicate"]) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [[], ["arc"], ["blocking"], ["ghf"], ["onefact"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["arc"],
+        ["blocking"],
+        ["ghf"],
+        ["onefact"],
+        ["field"],
+        ["classify"],
+        ["arc", "verify"],
+        ["arc", "complete", "--r", "6"],
+        ["blocking", "find"],
+        ["onefact", "enumerate"],
+        ["onefact", "closure"],
+        ["onefact", "embed", "--q", "8"],
+    ],
+)
 def test_missing_subcommand_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -83,6 +110,10 @@ def test_leaf_help_exits_0(capsys, leaf):
         ["arc", "complete", "--r", "6", "--s", "0"],
         ["--out", "{missing}/x.json", "field", "--r", "4"],
         ["classify", "--q", "16", "--max-k", "12"],
+        ["classify", "--q", "16", "--max-k", "5"],
+        ["classify", "--q", "1"],
+        # q = 64 is past the embedding search; --max-k 8 keeps the catalogs small
+        ["classify", "--q", "64", "--max-k", "8"],
         ["onefact", "enumerate", "--n", "6"],
     ],
 )
@@ -347,26 +378,3 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["results"]["q"] == 4
-
-
-# ---------------------------------------------------------------------------
-# scripts/run_classification.py
-
-
-@pytest.mark.parametrize("orders", ["abc", "1", "64"])
-def test_run_classification_rejects_bad_orders(orders):
-    # "abc" is no integer and 1 no field order, both refused before any
-    # enumeration; q = 64 is past the embedding search (--max-k 8 keeps the
-    # catalogs small)
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_classification.py"
-    src = str(Path(hyperarcs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--orders", orders, "--max-k", "8"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
-    assert "Traceback" not in proc.stderr
