@@ -244,13 +244,14 @@ def secants(arc: Arc) -> tuple[Line, ...]:
 
 
 def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
-    """Points at infinity met by the secants of the orbit arc: one per
-    nonzero element of G."""
+    """Points at infinity met by the secants of the orbit arc: (a/b, 1, 0),
+    or (1, 0, 0) when b = 0, for each nonzero (a, b) in G, whose sorted
+    elements start at (0, 0)."""
     spec = group.spec
+    exp, log, shift = spec.exp, spec.log, spec.q - 1
     dirs = {
-        pp.direction_point(spec, a, b)
-        for a, b in group.elements
-        if (a, b) != (0, 0)
+        (exp[log[a] + shift - log[b]], 1, 0) if b else (1, 0, 0)
+        for a, b in group.elements[1:]
     }
     return tuple(sorted(dirs))
 

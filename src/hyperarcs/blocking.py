@@ -59,17 +59,6 @@ class BlockingSet:
         }
 
 
-def _secant_masks(spec: FieldSpec, lines) -> dict[Point, int]:
-    """Each point on a secant, mapped to the bitmask of the secants through
-    it (bit i for lines[i]), by walking every secant's q + 1 points."""
-    masks: dict[Point, int] = {}
-    for idx, line in enumerate(lines):
-        bit = 1 << idx
-        for p in pp._line_points(spec, line):
-            masks[p] = masks.get(p, 0) | bit
-    return masks
-
-
 def _point_masks(spec: FieldSpec, lines, points) -> dict[Point, int]:
     """Each given point, coordinates checked, mapped to the bitmask of the
     lines through it (bit i for lines[i]).  By incidence, so the cost does
@@ -98,10 +87,13 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
 
     Odd k admits none (an external point covers at most (k-1)/2 < k/2
     secants, so k - 1 of them cannot reach k(k-1)/2).  For even k the
-    candidates are the external points on exactly k/2 secants, found by
-    walking the q + 1 points of each secant (k(k-1)/2 * (q+1) visits, not a
-    scan of the whole plane), and the search is an exact cover of the
-    secants, branching on the secant with fewest remaining candidates.
+    candidates are the external points on exactly k/2 secants.  These share
+    no arc point, so one joins the first arc point p0 to some pi and the
+    others avoid both.  Meeting each secant through p0 with each secant
+    avoiding its two points finds every candidate with all its secants, in
+    (k-1) C(k-2, 2) meets for any q, none an arc point.  The search is an
+    exact cover of the secants, branching on the secant with fewest
+    remaining candidates.
     """
     k = len(arc)
     if k < 3:
@@ -110,8 +102,15 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
         return []
     spec = arc.spec
     lines = secants(arc)
-    masks = _secant_masks(spec, lines)
-    # an arc point lies on k - 1 > k/2 secants, so the count excludes it
+    # secant (0, i) has index i - 1; those avoiding p0 follow from k - 1 on
+    rest = list(enumerate(combinations(range(1, k), 2), start=k - 1))
+    masks: dict[Point, int] = {}
+    for i in range(1, k):
+        through, bit = lines[i - 1], 1 << (i - 1)
+        for idx, pair in rest:
+            if i not in pair:
+                x = pp._meet(spec, through, lines[idx])
+                masks[x] = masks.get(x, bit) | 1 << idx
     candidates = sorted((p, m) for p, m in masks.items() if m.bit_count() == k // 2)
 
     full = (1 << len(lines)) - 1
@@ -131,7 +130,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
             solutions.append(tuple(candidates[ci][0] for ci in chosen))
             return
         # branch on the uncovered secant with fewest usable candidates
-        best, best_list = None, None
+        best_list = None
         rem = full & ~covered
         while rem:
             low = rem & -rem
@@ -143,9 +142,9 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
                 if not candidates[ci][1] & covered
             ]
             if best_list is None or len(usable) < len(best_list):
-                best, best_list = idx, usable
-                if not usable:
-                    return
+                best_list = usable
+                if len(usable) < 2:  # none fails the branch; one cannot be beaten
+                    break
         for ci in best_list:
             chosen.append(ci)
             search(covered | candidates[ci][1])

@@ -65,6 +65,17 @@ def _parse_field_value(text: str) -> int:
         raise UsageError(f"{text!r} is not a field value") from None
 
 
+def _budget(text: str) -> int:
+    """A search budget or result limit: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def _field_from_args(args) -> FieldSpec:
     if args.q is None:
         return field_make(args.r, args.poly)
@@ -360,13 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed = leaf(onefact_sub, "embed", _cmd_onefact_embed)
     p_embed.add_argument("--catalog", required=True)
     add_field_args(p_embed)
-    p_embed.add_argument("--limit", type=int)
-    p_embed.add_argument("--budget", type=int)
+    p_embed.add_argument("--limit", type=_budget)
+    p_embed.add_argument("--budget", type=_budget)
 
     p_classify = leaf(sub, "classify", _cmd_classify, help="small GHF classification")
     add_field_args(p_classify)
     p_classify.add_argument("--max-k", type=int, default=10)
-    p_classify.add_argument("--budget", type=int)
+    p_classify.add_argument("--budget", type=_budget)
 
     return parser
 

@@ -56,13 +56,6 @@ STANDARD_FRAME: tuple[Point, ...] = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
 IDENTITY: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def direction_point(spec: FieldSpec, a: int, b: int) -> Point:
-    """Point at infinity in the direction (a, b), normalized."""
-    if a == 0 and b == 0:
-        raise GeometryError("direction (0,0) is not a point")
-    return normalize(spec, (a, b, 0))
-
-
 def _dot(exp, log, u, v) -> int:
     return (
         exp[log[u[0]] + log[v[0]]] ^ exp[log[u[1]] + log[v[1]]] ^ exp[log[u[2]] + log[v[2]]]
@@ -169,7 +162,8 @@ def all_lines(spec: FieldSpec) -> list[Line]:
 
 
 def line_points(spec: FieldSpec, line: Line) -> list[Point]:
-    """The q + 1 points of a line, via a spanning pair."""
+    """The q + 1 points of a line, normalized: (c + t m, t, 1), (t, y, 1)
+    or (t, 1, 0) for t over the field, then the one point left."""
     spec.check(*line)
     return _line_points(spec, line)
 
@@ -177,25 +171,18 @@ def line_points(spec: FieldSpec, line: Line) -> list[Point]:
 def _line_points(spec: FieldSpec, line: Line) -> list[Point]:
     exp, log = spec.exp, spec.log
     l1, l2, l3 = line
-    if l1 == 0 and l2 == 0:
-        base, other = (1, 0, 0), (0, 1, 0)
-    elif l1 == 0:
-        # x2 determined by x3
-        base, other = (1, 0, 0), _normalize_fast(spec, 0, l3, l2)
+    if l1:
+        # l1 x1 = l2 x2 + l3 x3, so x1 = c + t m on the point (x1, t, 1)
+        s = spec.q - 1 - log[l1]
+        c, m = exp[log[l3] + s], exp[log[l2] + s]
+        lm = log[m]
+        pts, last = [(c ^ exp[log[t] + lm], t, 1) for t in spec.elements()], (m, 1, 0)
+    elif l2:
+        y = exp[log[l3] + spec.q - 1 - log[l2]]
+        pts, last = [(t, y, 1) for t in spec.elements()], (1, 0, 0)
     else:
-        base = _normalize_fast(spec, l2, l1, 0)
-        other = _normalize_fast(spec, l3, 0, l1)
-    b0, b1, b2 = log[base[0]], log[base[1]], log[base[2]]
-    o0, o1, o2 = other
-    pts = [other]
-    for t in spec.nonzero():
-        lt = log[t]
-        pts.append(
-            _normalize_fast(
-                spec, o0 ^ exp[lt + b0], o1 ^ exp[lt + b1], o2 ^ exp[lt + b2]
-            )
-        )
-    pts.append(base)
+        pts, last = [(t, 1, 0) for t in spec.elements()], (1, 0, 0)
+    pts.append(last)
     return pts
 
 

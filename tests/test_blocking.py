@@ -10,6 +10,7 @@ from hyperarcs.arcs import (
     Arc,
     ArcError,
     conic_translation_arc,
+    secant_directions,
     subgroup_make,
     translation_arc,
 )
@@ -174,6 +175,95 @@ def test_hyperoval_blocking_sets_are_external_lines():
     found = {b.points for b in min_blocking_sets(oval)}
     assert found == brute_min_blocking(oval)
     assert found  # hyperfocused: external lines provide linear sets
+
+
+def walk_min_blocking(arc):
+    """Oracle: candidates with their secant masks from a walk along every
+    secant's q + 1 points, then an exact cover of the secants that always
+    branches on the lowest uncovered one."""
+    spec, k = arc.spec, len(arc)
+    masks = {}
+    for idx, (p, q) in enumerate(combinations(arc.points, 2)):
+        for x in pp.line_points(spec, pp.line_through(spec, p, q)):
+            masks[x] = masks.get(x, 0) | 1 << idx
+    candidates = [(x, m) for x, m in masks.items() if m.bit_count() == k // 2]
+    full = (1 << (k * (k - 1) // 2)) - 1
+    out = set()
+
+    def cover(covered, chosen):
+        if covered == full:
+            out.add(tuple(sorted(chosen)))
+            return
+        low = ~covered & (covered + 1)
+        for x, m in candidates:
+            if m & low and not m & covered:
+                cover(covered | m, chosen + [x])
+
+    if k % 2 == 0:
+        cover(0, [])
+    return out
+
+
+def random_arc_prefixes(spec, rng, sizes):
+    """Arcs of the given sizes: the prefixes of one randomly grown arc."""
+    grown = []
+    for p in rng.sample(pp.all_points(spec), spec.q * spec.q + spec.q + 1):
+        if not any(pp.collinear(spec, p, a, b) for a, b in combinations(grown, 2)):
+            grown.append(p)
+    return [Arc(spec, tuple(grown[:k])) for k in sizes if k <= len(grown)]
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16, GF32], ids=lambda s: f"q{s.q}")
+def test_min_blocking_matches_walk_oracle_random_arcs(spec):
+    rng = random.Random(spec.q + 1)
+    arcs, found = [], 0
+    for _ in range(6):
+        arcs += random_arc_prefixes(spec, rng, range(4, 11))
+    assert {len(arc) for arc in arcs} == set(range(4, min(spec.q + 2, 10) + 1))
+    for arc in arcs:
+        sets = {b.points for b in min_blocking_sets(arc)}
+        assert sets == walk_min_blocking(arc)
+        found += len(sets)
+    assert found
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8], ids=lambda s: f"q{s.q}")
+def test_min_blocking_matches_walk_oracle_hyperovals(spec):
+    conic = [(x, spec.mul(x, x), 1) for x in spec.elements()]
+    oval = Arc(spec, tuple(conic) + ((0, 1, 0), (1, 0, 0)))
+    sets = {b.points for b in min_blocking_sets(oval)}
+    assert sets and sets == walk_min_blocking(oval)
+
+
+def conic_group_q1024():
+    spec = field_make(10)
+    return subgroup_make(spec, [(h, spec.mul(h, h)) for h in (1, 2, 4, 8)])
+
+
+def test_min_blocking_translation_arc_q1024_is_its_directions():
+    group = conic_group_q1024()
+    arc = translation_arc(group)
+    sets = min_blocking_sets(arc)
+    assert len(arc) == 16 and [b.points for b in sets] == [secant_directions(group)]
+    assert {b.points for b in sets} == walk_min_blocking(arc)
+
+
+def test_min_blocking_meets_are_external_and_independent_of_q(monkeypatch):
+    # (k-1) C(k-2, 2) meets of secants with no common arc point, for any q
+    meets, meet = [], pp._meet
+
+    def counting_meet(spec, l1, l2):
+        meets.append(meet(spec, l1, l2))
+        return meets[-1]
+
+    monkeypatch.setattr(pp, "_meet", counting_meet)
+    big = translation_arc(conic_group_q1024())
+    for arc in (quad_arc(GF4), quad_arc(GF32), ghf_eight(GF16)[0], big):
+        k = len(arc)
+        meets.clear()
+        min_blocking_sets(arc)
+        assert len(meets) == (k - 1) * (k - 2) * (k - 3) // 2
+        assert not set(meets) & set(arc.points)
 
 
 def secant_hits_by_incidence(arc, points):

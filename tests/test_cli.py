@@ -40,6 +40,12 @@ def test_field_reducible_poly_is_config_error(capsys):
     [
         (["field", "--r", "3", "--q", "16"], "not allowed with"),
         (["classify", "--q", "abc"], "invalid int value"),
+        (["classify", "--q", "16", "--budget", "-1"], "--budget: -1 is below 0"),
+        (["classify", "--q", "16", "--budget", "x"], "invalid int value: 'x'"),
+        (["onefact", "embed", "--catalog", "k6.txt", "--q", "8", "--budget", "-1"],
+         "--budget: -1 is below 0"),
+        (["onefact", "embed", "--catalog", "k6.txt", "--q", "8", "--limit", "-1"],
+         "--limit: -1 is below 0"),
     ],
 )
 def test_flag_rejected_by_argparse_is_usage_error(capsys, argv, message):

@@ -153,6 +153,29 @@ def test_line_points_match_brute_force():
         assert set(pp.line_points(spec, line)) == expect
 
 
+def spanning_pair_points(spec, line):
+    """Oracle: the line's points as other + t*base for a spanning pair, t
+    over the nonzero field, each normalized, between other and base."""
+    l1, l2, l3 = line
+    if l1 == 0 and l2 == 0:
+        base, other = (1, 0, 0), (0, 1, 0)
+    elif l1 == 0:
+        base, other = (1, 0, 0), pp.normalize(spec, (0, l3, l2))
+    else:
+        base, other = pp.normalize(spec, (l2, l1, 0)), pp.normalize(spec, (l3, 0, l1))
+    pts = [other]
+    for t in spec.nonzero():
+        pts.append(pp.normalize(spec, tuple(o ^ spec.mul(t, b) for o, b in zip(other, base))))
+    return pts + [base]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_line_points_match_spanning_pair_walk_in_order(r):
+    spec = field_make(r)
+    for line in pp.all_lines(spec):
+        assert pp.line_points(spec, line) == spanning_pair_points(spec, line)
+
+
 # ---------------------------------------------------------------------------
 # Elations and homologies
 
