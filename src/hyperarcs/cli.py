@@ -211,6 +211,9 @@ def _cmd_blocking_find(args, report: RunReport) -> int:
 def _cmd_ghf_build(args, report: RunReport) -> int:
     spec = _field_from_args(args)
     report.field = spec.to_json()
+    given = [x is not None for x in (args.lam, args.a1, args.a2)]
+    if any(given) and not all(given):
+        raise UsageError("give all of --lambda, --a1 and --a2, or none")
     lam = _parse_field_value(args.lam) if args.lam is not None else None
     a1 = _parse_field_value(args.a1) if args.a1 is not None else None
     a2 = _parse_field_value(args.a2) if args.a2 is not None else None
@@ -258,6 +261,8 @@ def _cmd_onefact_embed(args, report: RunReport) -> int:
         embs, exhausted = embed_search(
             fact, spec, limit=args.limit, max_nodes=args.budget
         )
+        for e in embs:
+            e.validate()
         nonlinear = sum(1 for e in embs if not e.focus_collinear())
         rows.append(
             {

@@ -21,7 +21,11 @@ round unites only pairs with a member new in the previous round.
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
 standard frame, which enumerates embeddings exactly once per projective
-equivalence class.
+equivalence class.  The search keeps one anchor per factor: the line of
+its one placed edge, or its focus once two of its edges are placed.  A
+vertex has one edge in each factor, so placing it meets each factor's
+anchor at most once: the new edge line is stored, met with the stored
+line to force the focus, or required to pass through the focus.
 """
 
 from __future__ import annotations
@@ -555,6 +559,14 @@ def embed_search(
 
     Returns (embeddings, exhausted): exhausted is False when limit or
     max_nodes stopped the search early.
+
+    Every embedding returned passes Embedding.validate by construction, so
+    the search does not call it.  Vertex and focus images are distinct, and
+    no focus is a vertex image, since place rejects any new point already
+    in used.  No three vertex images are collinear, since the lines from a
+    new vertex image to the placed ones must be distinct.  Each focus lies
+    on every edge of its factor: it is the meet of the factor's first two
+    edge lines, and every later edge line must pass through it.
     """
     n2 = fact.n_vertices
     if n2 > MAX_VERTICES:
@@ -569,86 +581,71 @@ def embed_search(
         edge_factor[(v, u)] = fi
 
     pinned = _pinned_four(fact)
-    order = list(pinned)
     remaining = [v for v in range(1, n2 + 1) if v not in pinned]
 
     all_pts = pp.all_points(spec)
     found: list[Embedding] = []
     state_pos: dict[int, Point] = {}
-    state_focus: dict[int, Point] = {}
+    # factor anchors: edge_line[fi] until focus[fi] is forced; the line
+    # stays stored under the focus, so unplacing the second edge only
+    # drops the focus
+    edge_line: dict[int, pp.Line] = {}
+    focus: dict[int, Point] = {}
     used: set[Point] = set()
     nodes = 0
     budget_blown = False
 
     def place(v: int, p: Point):
-        """Try to place vertex v at point p; returns an undo list or None."""
+        """Try to place vertex v at point p; returns the factors whose
+        anchor it set, for unplace, or None."""
         if p in used:
             return None
-        # arc condition: no two placed vertices already aligned with p
-        lines_seen = set()
-        for u, up in state_pos.items():
-            if up == p:
-                return None
-            line = pp._line_through(spec, p, up)
-            if line in lines_seen:
-                return None
-            lines_seen.add(line)
-        undo = []
-        state_pos[v] = p
         used.add(p)
-        undo.append(("pos", v, p))
-        for u, up in list(state_pos.items()):
-            if u == v:
-                continue
-            fi = edge_factor[(v, u)]
+        lines = set()
+        anchored = []
+        for u, up in state_pos.items():
             line = pp._line_through(spec, p, up)
-            focus = state_focus.get(fi)
-            if focus is not None:
-                if not pp._incident(spec, focus, line):
-                    _undo(undo)
-                    return None
+            if line in lines:
+                break
+            lines.add(line)
+            fi = edge_factor[(v, u)]
+            f = focus.get(fi)
+            if f is not None:
+                if not pp._incident(spec, f, line):
+                    break
                 continue
-            # another fully placed edge of this factor forces the focus
-            other = next(
-                (
-                    (a, b)
-                    for a, b in fact.factors[fi - 1]
-                    if a in state_pos and b in state_pos and v not in (a, b)
-                ),
-                None,
-            )
-            if other is None:
-                continue
-            other_line = pp._line_through(
-                spec, state_pos[other[0]], state_pos[other[1]]
-            )
-            if other_line == line:
-                _undo(undo)
-                return None
-            focus = pp._meet(spec, line, other_line)
-            if focus in used:
-                _undo(undo)
-                return None
-            state_focus[fi] = focus
-            used.add(focus)
-            undo.append(("focus", fi, focus))
-        return undo
-
-    def _undo(undo):
-        for kind, key, p in reversed(undo):
-            if kind == "pos":
-                del state_pos[key]
+            first = edge_line.get(fi)
+            if first is None:
+                edge_line[fi] = line
             else:
-                del state_focus[key]
-            used.discard(p)
+                # first joins two placed vertices and line a third, u, so
+                # the lines differ and meet in one point
+                f = pp._meet(spec, line, first)
+                if f in used:
+                    break
+                focus[fi] = f
+                used.add(f)
+            anchored.append(fi)
+        else:
+            state_pos[v] = p
+            return anchored
+        unplace(p, anchored)
+        return None
+
+    def unplace(p: Point, anchored: list[int]):
+        for fi in anchored:
+            if fi in focus:
+                used.discard(focus.pop(fi))
+            else:
+                del edge_line[fi]
+        used.discard(p)
 
     def candidates(v: int) -> list[Point]:
         constraint_lines = []
         for u, up in state_pos.items():
-            fi = edge_factor[(v, u)]
-            focus = state_focus.get(fi)
-            if focus is not None:
-                constraint_lines.append(pp._line_through(spec, focus, up))
+            f = focus.get(edge_factor[(v, u)])
+            if f is not None:
+                constraint_lines.append(pp._line_through(spec, f, up))
         if not constraint_lines:
             return all_pts
         first = constraint_lines[0]
@@ -663,11 +660,7 @@ def embed_search(
 
     def next_vertex(left: list[int]) -> int:
         def constrained(v):
-            return sum(
-                1
-                for u in state_pos
-                if state_focus.get(edge_factor[(v, u)]) is not None
-            )
+            return sum(1 for u in state_pos if edge_factor[(v, u)] in focus)
 
         return max(left, key=lambda v: (constrained(v), -v))
 
@@ -676,14 +669,14 @@ def embed_search(
         if limit is not None and len(found) >= limit:
             return
         if not left:
-            emb = Embedding(
-                spec,
-                fact,
-                tuple(state_pos[v] for v in range(1, n2 + 1)),
-                tuple(state_focus[i] for i in range(1, n2)),
+            found.append(
+                Embedding(
+                    spec,
+                    fact,
+                    tuple(state_pos[v] for v in range(1, n2 + 1)),
+                    tuple(focus[i] for i in range(1, n2)),
+                )
             )
-            emb.validate()
-            found.append(emb)
             return
         v = next_vertex(left)
         rest = [u for u in left if u != v]
@@ -692,21 +685,16 @@ def embed_search(
                 budget_blown = True
                 return
             nodes += 1
-            undo = place(v, p)
-            if undo is None:
+            anchored = place(v, p)
+            if anchored is None:
                 continue
             rec(rest)
-            _undo(undo)
+            del state_pos[v]
+            unplace(p, anchored)
             if budget_blown or (limit is not None and len(found) >= limit):
                 return
 
-    ok = True
-    for v, p in zip(order, pp.STANDARD_FRAME):
-        undo = place(v, p)
-        if undo is None:
-            ok = False
-            break
-    if ok:
+    if all(place(v, p) is not None for v, p in zip(pinned, pp.STANDARD_FRAME)):
         rec(remaining)
     exhausted = not budget_blown and (limit is None or len(found) < limit)
     return found, exhausted

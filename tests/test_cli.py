@@ -110,6 +110,8 @@ def test_leaf_help_exits_0(capsys, leaf):
     "argv",
     [
         ["ghf", "build", "--q", "16", "--lambda", "zz"],
+        # some but not all of the construction's parameters
+        ["ghf", "build", "--q", "16", "--lambda", "2"],
         ["arc", "build", "--example", "n1", "--r", "3", "--h-basis", "zz"],
         ["arc", "build", "--example", "n3", "--q", "16", "--eta", "zz", "--b", "1"],
         ["field", "--q", "0"],

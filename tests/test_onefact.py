@@ -7,6 +7,7 @@ import pytest
 from hyperarcs.gf2 import field_make
 from hyperarcs import projplane as pp
 from hyperarcs.onefact import (
+    Embedding,
     FactorizationError,
     OneFactorization,
     canonical_form,
@@ -577,14 +578,74 @@ def test_embed_limit_and_budget():
     assert not exhausted2
 
 
-@pytest.mark.parametrize("fact, r, nodes", [(CASE1, 3, 469), (CASE2, 3, 349), (CASE2, 4, 3367)])
+@pytest.mark.parametrize("fact, r, nodes", [
+    (CASE1, 3, 469), (CASE2, 3, 349), (CASE2, 4, 3367), (round_robin(10), 3, 454),
+])
 def test_embed_search_node_count(fact, r, nodes):
     # the exhaustive search visits exactly this many candidate points: a
     # candidate list that held a point off some constraint line would cost
-    # extra nodes and move every budget cut
+    # extra nodes and move every budget cut.  GK10 at q = 8 (three
+    # embeddings, onto hyperovals) is the case that breaks when a focus
+    # forced onto a used point is accepted; the K6 and K8 searches do not.
     spec = field_make(r)
     assert embed_search(fact, spec, max_nodes=nodes)[1]
     assert not embed_search(fact, spec, max_nodes=nodes - 1)[1]
+
+
+# SHA-256 over the K6 and K8 catalogs, class by class, of each search's
+# exhausted flag and its (vertices, foci) list: this pins the embeddings,
+# their order and every budget cut.  Budget 60 is the one classify uses at
+# q = 16.
+EMBEDDING_SHA256 = {
+    (3, "exhaustive"):
+        "efa7279b43e09389f9342fcd91783ad7c50d25b965cfe17b3c78e677e997a36f",
+    (3, "max_nodes=60"):
+        "ef51d39249528141db186f0be424fa67ae7f01b7af14d0fbefe34d069437b848",
+    (3, "limit=5"):
+        "26085d3705e3e34c93ddbdd1a8caed5c46078edcefd47eacaae71eaebcb32f1e",
+    (4, "exhaustive"):
+        "1411819f726319569952382040d51c7a100bdc7dce454bc61fb31ef710156f29",
+    (4, "max_nodes=60"):
+        "27c95746f7c2aea70cee02237fb44574032b194bbc2195d26111ecf30f95b22f",
+    (4, "limit=5"):
+        "277629b9971f60f95c9b29b699bc8bee17d25b70c750596133ff2912b701e84c",
+}
+SEARCH_BUDGETS = {"exhaustive": {}, "max_nodes=60": {"max_nodes": 60}, "limit=5": {"limit": 5}}
+
+
+def test_embed_search_digests_and_oracle(k6_catalog, k8_catalog):
+    digests = {}
+    validated = 0
+    for r in (3, 4):
+        spec = field_make(r)
+        for name, budget in SEARCH_BUDGETS.items():
+            rows = []
+            for fact in k6_catalog + k8_catalog:
+                embs, exhausted = embed_search(fact, spec, **budget)
+                for e in embs:
+                    e.validate()
+                if name == "exhaustive":
+                    validated += len(embs)
+                rows.append((exhausted, [(e.vertices, e.foci) for e in embs]))
+            digests[(r, name)] = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert validated == 1541
+    assert digests == EMBEDDING_SHA256
+
+
+def test_validate_rejects_focus_off_its_factor():
+    spec = field_make(3)
+    emb = embed_search(CASE1, spec, limit=1)[0][0]
+    emb.validate()
+    # move factor 1's focus to a point of the plane on none of its edges
+    edges = [(emb.vertices[u - 1], emb.vertices[v - 1]) for u, v in CASE1.factors[0]]
+    off = next(
+        p for p in pp.all_points(spec)
+        if p not in emb.vertices and p not in emb.foci
+        and not any(pp.collinear(spec, p, a, b) for a, b in edges)
+    )
+    moved = Embedding(spec, CASE1, emb.vertices, (off,) + emb.foci[1:])
+    with pytest.raises(FactorizationError, match="focus of factor 1 misses edge"):
+        moved.validate()
 
 
 def test_embed_search_guards():
