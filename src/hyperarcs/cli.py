@@ -285,6 +285,8 @@ def _catalog_from_args(args, report: RunReport):
         raise UsageError(f"cannot read catalog {args.catalog}: {exc}") from exc
     except FactorizationError as exc:
         raise UsageError(f"bad catalog {args.catalog}: {exc}") from exc
+    if not facts:
+        raise UsageError(f"catalog {args.catalog} holds no factorization")
     report.inputs["catalog"] = args.catalog
     report.inputs["classes"] = len(facts)
     return facts

@@ -13,10 +13,12 @@ factors whose embedded focus points must be collinear, and unioning sets
 that share two members propagates that collinearity.  When the closure
 reaches the full factor set, every embedding of the factorization has all
 focus points on one line.  The closure holds its family as one int bitmap
-over all 2^k subsets of the k factors and unites each new member with
-every member it meets in two or more factors by a few shifts and masks.
-It runs in rounds; depth counts the rounds that add members, and each
-round unites only pairs with a member new in the previous round.
+over all 2^k subsets of the k factors, from the triangle masks to the
+result, which decodes it into factor sets only when read.  It unites each
+new member with every member it meets in two or more factors by a few
+shifts and masks.  It runs in rounds; depth counts the rounds that add
+members, and each round unites only pairs with a member new in the
+previous round.
 
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
@@ -31,7 +33,7 @@ line to force the focus, or required to pass through the focus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
 
@@ -44,6 +46,9 @@ from hyperarcs.projplane import Point
 # The largest complete graph handled: enumeration, canonical forms and the
 # embedding search stop at K10, since K12 has 526,915,620 classes.
 MAX_VERTICES = 10
+
+# The closure's limit: its cost grows about 12-fold per two vertices.
+MAX_CLOSURE_VERTICES = 16
 
 
 class FactorizationError(ValueError):
@@ -386,22 +391,51 @@ def isomorphic(a: OneFactorization, b: OneFactorization) -> bool:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    family: frozenset[frozenset[int]]
+    """family decodes the bitmap members (see closure) on first read."""
+
+    members: int
+    k: int
     contains_all: bool
     depth: int
+
+    @cached_property
+    def family(self) -> frozenset[frozenset[int]]:
+        # masks to factor sets through the index tuples of their low and
+        # high halves, 2^(k/2) entries each
+        h = self.k // 2
+        low, high = [()], [()]
+        for i in range(self.k):
+            half = low if i < h else high
+            half += [s + (i + 1,) for s in half]
+        lmask = (1 << h) - 1
+        return frozenset(
+            frozenset(low[m & lmask] + high[m >> h])
+            for m in _set_bits(self.members)
+        )
+
+
+def _triangle_masks(fact: OneFactorization) -> set[int]:
+    """Each vertex triangle's factor mask: the OR of its edges' bits."""
+    n2 = fact.n_vertices
+    bit = [[0] * n2 for _ in range(n2)]
+    for i, f in enumerate(fact.factors):
+        for u, v in f:
+            bit[u - 1][v - 1] = bit[v - 1][u - 1] = 1 << i
+    masks = set()
+    for u, row_u in enumerate(bit):
+        for v in range(u + 1, n2):
+            uv = row_u[v]
+            masks.update(uv | a | b for a, b in zip(row_u[v + 1 :], bit[v][v + 1 :]))
+    return masks
 
 
 def triangle_triples(fact: OneFactorization) -> frozenset[frozenset[int]]:
     """For each vertex triangle, the set of the three factors carrying its
     edges.  The factors are distinct automatically: two sides of a triangle
     share a vertex, and a matching holds at most one of them."""
-    factor_of = fact.factor_of_edge()
-    triples = set()
-    for u, v, w in combinations(range(1, fact.n_vertices + 1), 3):
-        triples.add(
-            frozenset((factor_of[(u, v)], factor_of[(u, w)], factor_of[(v, w)]))
-        )
-    return frozenset(triples)
+    return frozenset(
+        frozenset(i + 1 for i in _set_bits(m)) for m in _triangle_masks(fact)
+    )
 
 
 def _set_bits(bits: int) -> list[int]:
@@ -417,33 +451,42 @@ def closure(fact: OneFactorization) -> ClosureResult:
     """Grow the triangle triples by uniting members sharing at least two
     factors, to a fixpoint.  contains_all reports whether the full factor
     set is reached, which forces all focus points of any embedding onto
-    one line.
+    one line.  Supported up to MAX_CLOSURE_VERTICES vertices.
 
     The family is one int over the subset lattice of the k factors: bit m
-    is set when the factor set with mask m is a member.  has[i] holds the
-    bits m whose set contains factor i.  For a member a, counting over its
-    factors which bits meet a once or more and twice or more masks the
-    family to the members b with |a & b| >= 2; then, for each factor i of
-    a, shifting by 2^i moves every such b lacking i to b | {i}, so the
-    masked family becomes every union a | b at once.
+    is set when the factor set with mask m is a member.  It starts from
+    the triangle masks and is returned as is.  has[i] holds the bits m
+    whose set contains factor i.  For a member a, with its factors read
+    from a table over all 2^k masks, counting which bits meet a once or
+    more and twice or more masks the family to the members b with
+    |a & b| >= 2; then, for each factor i of a, shifting by 2^i moves
+    every such b lacking i to b | {i}, so the masked family becomes every
+    union a | b at once.
 
     Rounds are semi-naive: a round unites only pairs with a member added
     by the previous round (the triples count as added before round one),
     since the union of two older members is already in the family.  depth
     counts the rounds that add members, exactly as if every round united
     all pairs."""
+    n2 = fact.n_vertices
+    if n2 > MAX_CLOSURE_VERTICES:
+        raise FactorizationError(
+            f"closure supports at most {MAX_CLOSURE_VERTICES} vertices, got {n2}"
+        )
     k = fact.n_factors
-    full = (1 << k) - 1
     lattice = (1 << (1 << k)) - 1
     # blocks of 2^i clear bits then 2^i set bits, from the lowest bit up
     has = [lattice // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
-    added = {sum(1 << (i - 1) for i in t) for t in triangle_triples(fact)}
+    factor_bits = [()]  # the factors (0-based) of each mask
+    for i in range(k):
+        factor_bits += [t + (i,) for t in factor_bits]
+    added = _triangle_masks(fact)
     family = sum(1 << a for a in added)
     depth = 0
     while True:
         unions = 0
         for a in added:
-            factors = _set_bits(a)
+            factors = factor_bits[a]
             once = twice = 0
             for i in factors:
                 twice |= once & has[i]
@@ -458,19 +501,7 @@ def closure(fact: OneFactorization) -> ClosureResult:
         family |= new
         added = _set_bits(new)
         depth += 1
-    # masks to factor sets through the index tuples of their low and high
-    # halves, 2^(k/2) entries each
-    h = k // 2
-    low, high = [()], [()]
-    for i in range(h):
-        low += [s + (i + 1,) for s in low]
-    for i in range(h, k):
-        high += [s + (i + 1,) for s in high]
-    lmask = (1 << h) - 1
-    out = frozenset(
-        frozenset(low[m & lmask] + high[m >> h]) for m in _set_bits(family)
-    )
-    return ClosureResult(out, bool(family >> full), depth)
+    return ClosureResult(family, k, bool(family >> ((1 << k) - 1)), depth)
 
 
 def closure_survey(facts) -> list[dict]:
@@ -483,7 +514,7 @@ def closure_survey(facts) -> list[dict]:
                 "index": idx,
                 "contains_all": res.contains_all,
                 "depth": res.depth,
-                "family_size": len(res.family),
+                "family_size": res.members.bit_count(),
             }
         )
     return rows

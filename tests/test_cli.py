@@ -321,6 +321,35 @@ def test_onefact_bad_catalog_is_usage_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["onefact", "closure"], ["onefact", "embed", "--q", "8"]]
+)
+def test_onefact_empty_catalog_is_usage_error(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    code, out, err = run(capsys, *argv, "--catalog", str(empty))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog {empty} holds no factorization\n"
+
+
+def test_onefact_closure_past_vertex_cap_is_exit_2(tmp_path, capsys):
+    from hyperarcs.onefact import OneFactorization, format_catalog
+
+    # GK18: factor i pairs vertex 18 with i and i - j with i + j modulo 17
+    gk18 = OneFactorization(18, tuple(
+        ((i + 1, 18),)
+        + tuple(((i - j) % 17 + 1, (i + j) % 17 + 1) for j in range(1, 9))
+        for i in range(17)
+    ))
+    path = tmp_path / "gk18.txt"
+    path.write_text(format_catalog([gk18]))
+    code, out, err = run(capsys, "onefact", "closure", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: closure supports at most 16 vertices, got 18\n"
+
+
 def test_external_catalog_ingestion_and_dedup(tmp_path, capsys):
     # an externally relabeled catalog parses, validates, and collapses to
     # the same classes under canonicalization

@@ -9,6 +9,7 @@ from hyperarcs import projplane as pp
 from hyperarcs.onefact import (
     Embedding,
     FactorizationError,
+    MAX_CLOSURE_VERTICES,
     OneFactorization,
     canonical_form,
     closure,
@@ -495,6 +496,39 @@ def test_closure_gk14_counts_frozen():
     # k = 13, an 8192-bit family; frozen from the all-pairs fixpoint
     res = closure(round_robin(14))
     assert (res.contains_all, res.depth, len(res.family)) == (True, 4, 8100)
+
+
+def brute_force_triples(fact):
+    """Oracle: the factor set of every vertex triangle, read edge by edge
+    from factor_of_edge."""
+    factor_of = fact.factor_of_edge()
+    return frozenset(
+        frozenset((factor_of[(u, v)], factor_of[(u, w)], factor_of[(v, w)]))
+        for u, v, w in combinations(range(1, fact.n_vertices + 1), 3)
+    )
+
+
+def test_triangle_triples_match_brute_force(k8_catalog, k10_catalog):
+    k10, _ = k10_catalog
+    rng = random.Random(11)
+    facts = [K6, *k8_catalog, round_robin(12)]
+    facts += [relabeled(fact, rng) for fact in rng.sample(k10, 20)]
+    for fact in facts:
+        assert triangle_triples(fact) == brute_force_triples(fact)
+
+
+def test_closure_refuses_past_vertex_cap():
+    assert MAX_CLOSURE_VERTICES == 16
+    with pytest.raises(FactorizationError, match="at most 16 vertices"):
+        closure(round_robin(18))
+
+
+def test_closure_survey_family_size_is_family_length(k8_catalog):
+    facts = [*k8_catalog, round_robin(12)]
+    rows = closure_survey(facts)
+    assert [r["family_size"] for r in rows] == [
+        len(closure(fact).family) for fact in facts
+    ]
 
 
 def test_closure_survey_shape():
