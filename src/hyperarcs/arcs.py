@@ -25,6 +25,7 @@ from hyperarcs.projplane import (
     ORIGIN,
     Line,
     Point,
+    _collinear_triple,
 )
 
 CONTAINED = "CONTAINED"
@@ -120,19 +121,6 @@ def arc_from_json(obj: dict) -> Arc:
     spec = field_from_json(obj["field"])
     pts = [pp.point_from_json(spec, p) for p in obj["points"]]
     return Arc(spec, tuple(pts))
-
-
-def _collinear_triple(spec, pts):
-    """First collinear triple among pts, or None.  Quadratic sweep: two
-    distinct points seen on the same line through a base point betray one."""
-    for i, p in enumerate(pts):
-        seen: dict[Line, Point] = {}
-        for q in pts[i + 1 :]:
-            line = pp._line_through(spec, p, q)
-            if line in seen:
-                return (p, seen[line], q)
-            seen[line] = q
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class BlockingSet:
 
     spec: FieldSpec
     points: tuple[Point, ...]
-    arc: Arc
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(set(self.points))))
@@ -151,7 +150,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
             chosen.pop()
 
     search(0)
-    out = [BlockingSet(spec, pts, arc) for pts in solutions]
+    out = [BlockingSet(spec, pts) for pts in solutions]
     out.sort(key=lambda b: b.points)
     for b in out:
         _assert_minimum_counting(b, masks, k)
@@ -209,7 +208,7 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
     for a1, a2 in group.elements:
         composed = pp._compose(spec, phi, pp.elation(spec, a1, a2))
         blockers.add(pp._center(spec, composed))
-    bset = BlockingSet(spec, tuple(blockers), union)
+    bset = BlockingSet(spec, tuple(blockers))
     if len(bset) != 2 * k - 1:
         raise BlockingError(f"expected {2 * k - 1} blockers, found {len(bset)}")
     if not is_blocking(union, bset.points):
@@ -233,12 +232,6 @@ def ghf_eight(
     subplane of order 2, which is re-checked here.
     """
     group = _quadrangle_group(spec)
-
-    def valid(l, x, y):
-        return l not in (0, 1) and not (
-            {x, y, x ^ y} & {0, 1, l, l ^ 1}
-        )
-
     if lam is None and a1 is None and a2 is None:
         found = next(
             (
@@ -246,7 +239,7 @@ def ghf_eight(
                 for l in spec.elements()
                 for x in spec.elements()
                 for y in spec.elements()
-                if valid(l, x, y)
+                if _valid_parameters(l, x, y)
             ),
             None,
         )
@@ -257,7 +250,7 @@ def ghf_eight(
         raise BlockingError("give all of lam, a1, a2, or none")
     else:
         spec.check(lam, a1, a2)
-        if not valid(lam, a1, a2):
+        if not _valid_parameters(lam, a1, a2):
             raise BlockingError(f"(lam={lam}, a1={a1}, a2={a2}) violates the constraints")
 
     arc, bset = ghf_construct(group, pp.homology(spec, lam, a1, a2))
@@ -266,8 +259,40 @@ def ghf_eight(
     return arc, bset, (lam, a1, a2)
 
 
+def _valid_parameters(lam: int, a1: int, a2: int) -> bool:
+    return lam not in (0, 1) and not ({a1, a2, a1 ^ a2} & {0, 1, lam, lam ^ 1})
+
+
 def _quadrangle_group(spec: FieldSpec) -> AdditiveSubgroup:
     return subgroup_make(spec, [(0, 1), (1, 0)])
+
+
+def is_doubled_quadrangle(arc: Arc) -> bool:
+    """Whether a projectivity maps the arc onto an arc of ghf_eight for some
+    valid triple: the square F = {0,1}^2 of the affine plane and lam*F + a.
+
+    Each 4-subset S is mapped onto F by pp._to_standard_frame in increasing
+    order, and the arc passes when its other four points go to lam*F + a
+    for a valid triple.  If some ordering of S does that, this one does:
+    the two maps differ by some x -> Mx + t of the frame's stabilizer, M in
+    GL(2,2) and t in F, which sends lam*F + a to lam*F + (Ma + t).  That
+    triple is valid too, since M permutes {a1, a2, a1 + a2}, and t, like
+    the choice of a within lam*F + a, adds to each coordinate an element of
+    the group {0, 1, lam, lam + 1} that those sums avoid."""
+    if len(arc) != 8:
+        return False
+    spec = arc.spec
+    for subset in combinations(arc.points, 4):
+        m = pp._to_standard_frame(spec, *subset)
+        rest = sorted(pp._apply_point(spec, m, p) for p in arc.points if p not in subset)
+        if any(z != 1 for _, _, z in rest):
+            continue
+        (x0, y0, _), *others = rest
+        steps = {(x ^ x0, y ^ y0) for x, y, _ in others}
+        lam = max(x for x, _ in steps)
+        if steps == {(lam, 0), (0, lam), (lam, lam)} and _valid_parameters(lam, x0, y0):
+            return True
+    return False
 
 
 def is_fano_configuration(spec: FieldSpec, points) -> bool:

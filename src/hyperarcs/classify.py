@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
-from hyperarcs.blocking import ArcClasses, BlockingError, ghf_eight
+from hyperarcs.blocking import ArcClasses, is_doubled_quadrangle
 from hyperarcs.onefact import (
     MAX_VERTICES,
     FactorizationError,
@@ -33,7 +33,6 @@ from hyperarcs.onefact import (
 class ClassRow:
     """Per-factorization-class findings."""
 
-    n: int
     k: int
     index: int
     contains_all: bool
@@ -47,37 +46,37 @@ class ClassRow:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    q: int
+    spec: FieldSpec
     max_k: int
     rows: tuple[ClassRow, ...]
     nonlinear_forms: tuple  # (k, canonical form) pairs, deduplicated
-    example_form: tuple | None  # canonical form of the doubled-quadrangle arc
     exhaustive: bool
 
     @property
     def example_exists(self) -> bool:
-        return self.example_form is not None
+        """Whether ghf_eight has a valid triple: exactly when q >= 16.
+        U = {0, 1, lam, lam + 1} is an additive group of order 4; a1 must
+        avoid U, and a2 the 8 elements of U and U + a1, as a1 + a2 avoids U."""
+        return self.spec.q >= 16
 
     @property
     def nonlinear_ks(self) -> tuple[int, ...]:
         return tuple(sorted({k for k, _ in self.nonlinear_forms}))
 
     def matches_example(self) -> bool | None:
-        """Whether the non-linear instances are exactly the known 8-arc
-        class; None when that example does not exist at this q, and False
-        when no non-linear instance was found.
-
-        The known class is that of ghf_eight(spec), the first valid triple
-        only.  At q = 16 the construction gives one class, so the answer is
-        exact; at q = 32 it gives 15 and this reads False, although every
-        class found comes from the construction (ROADMAP item 2)."""
+        """Whether some non-linear class was found and every one is a class
+        of the ghf_eight construction, over any valid triple (see
+        is_doubled_quadrangle); None when the construction does not exist
+        at this q."""
         if not self.example_exists:
             return None
-        return {form for _, form in self.nonlinear_forms} == {self.example_form}
+        return bool(self.nonlinear_forms) and all(
+            is_doubled_quadrangle(Arc(self.spec, form)) for _, form in self.nonlinear_forms
+        )
 
     def to_json(self) -> dict:
         return {
-            "q": self.q,
+            "q": self.spec.q,
             "max_k": self.max_k,
             "classes": [
                 {
@@ -89,7 +88,7 @@ class ClassificationReport:
                     "embeddings": row.embeddings,
                     "nonlinear_embeddings": row.nonlinear_embeddings,
                     "exhausted": row.exhausted,
-                    "nonlinear_classes": len(set(row.nonlinear_arc_forms)),
+                    "nonlinear_classes": len(row.nonlinear_arc_forms),
                 }
                 for row in self.rows
             ],
@@ -137,7 +136,7 @@ def classify_ghf(
             res = closure(fact)
             if res.contains_all:
                 rows.append(
-                    ClassRow(n, 2 * n, idx, True, res.depth, False, 0, 0, True, ())
+                    ClassRow(2 * n, idx, True, res.depth, False, 0, 0, True, ())
                 )
                 continue
             embeddings, exhausted = embed_search(
@@ -152,7 +151,6 @@ def classify_ghf(
             nonlinear.update((2 * n, form) for form in forms)
             rows.append(
                 ClassRow(
-                    n,
                     2 * n,
                     idx,
                     False,
@@ -165,18 +163,10 @@ def classify_ghf(
                 )
             )
 
-    example_form = None
-    try:
-        example_arc, _, _ = ghf_eight(spec)
-        example_form = classes.form(example_arc)
-    except BlockingError:
-        pass
-
     return ClassificationReport(
-        q=spec.q,
+        spec=spec,
         max_k=max_k,
         rows=tuple(rows),
         nonlinear_forms=tuple(sorted(nonlinear)),
-        example_form=example_form,
         exhaustive=exhaustive,
     )

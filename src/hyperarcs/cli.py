@@ -410,8 +410,6 @@ def _to_csv(report: RunReport) -> str:
         rows = report.results["classification"]["classes"]
     if rows is None:
         raise UsageError("csv format is only available for tabular reports")
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()

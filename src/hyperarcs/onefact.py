@@ -27,7 +27,7 @@ equivalence class.  The search keeps one anchor per factor: the line of
 its one placed edge, or its focus once two of its edges are placed.  A
 vertex has one edge in each factor, so placing it meets each factor's
 anchor at most once: the new edge line is stored, met with the stored
-line to force the focus, or required to pass through the focus.
+line to force the focus, or, by the choice of candidates, through it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from operator import itemgetter
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
-from hyperarcs.arcs import _collinear_triple
 from hyperarcs.projplane import Point
 
 
@@ -111,7 +110,7 @@ def format_factorization(fact: OneFactorization) -> str:
     return "|".join(" ".join(f"{u}-{v}" for u, v in f) for f in factors)
 
 
-def parse_factorization(text: str, n_vertices: int | None = None) -> OneFactorization:
+def parse_factorization(text: str) -> OneFactorization:
     factors = []
     for chunk in text.strip().split("|"):
         edges = []
@@ -124,7 +123,7 @@ def parse_factorization(text: str, n_vertices: int | None = None) -> OneFactoriz
         factors.append(tuple(edges))
     if not factors or not factors[0]:
         raise FactorizationError("empty factorization")
-    n2 = n_vertices or max(v for f in factors for e in f for v in e)
+    n2 = max(v for f in factors for e in f for v in e)
     return OneFactorization(n2, tuple(factors))
 
 
@@ -203,7 +202,6 @@ def _inverse(row: list[int]) -> list[int]:
 class _EnumContext:
     def __init__(self, n: int):
         n2 = 2 * n
-        self.n = n
         self.n2 = n2
         self.matchings = _all_matchings(n2)
         self.index = {m: i for i, m in enumerate(self.matchings)}
@@ -539,7 +537,7 @@ class Embedding:
         pts = self.vertices
         if len(set(pts)) != len(pts):
             raise FactorizationError("vertex images not distinct")
-        if _collinear_triple(spec, pts) is not None:
+        if pp._collinear_triple(spec, pts) is not None:
             raise FactorizationError("vertex images contain a collinear triple")
         if len(set(self.foci)) != len(self.foci):
             raise FactorizationError("focus images not distinct")
@@ -597,7 +595,11 @@ def embed_search(
     in used.  No three vertex images are collinear, since the lines from a
     new vertex image to the placed ones must be distinct.  Each focus lies
     on every edge of its factor: it is the meet of the factor's first two
-    edge lines, and every later edge line must pass through it.
+    edge lines, and every later edge line passes through it untested.  A
+    factor has at most two edges among the four pinned vertices, and
+    candidates(v) yields only points p on the line focus.u for each placed
+    u whose edge to v has its focus forced; p is neither u nor the focus,
+    both being in used, so p.u is that line.
     """
     n2 = fact.n_vertices
     if n2 > MAX_VERTICES:
@@ -640,10 +642,7 @@ def embed_search(
                 break
             lines.add(line)
             fi = edge_factor[(v, u)]
-            f = focus.get(fi)
-            if f is not None:
-                if not pp._incident(spec, f, line):
-                    break
+            if fi in focus:
                 continue
             first = edge_line.get(fi)
             if first is None:

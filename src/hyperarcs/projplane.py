@@ -149,6 +149,19 @@ def _is_linear(spec: FieldSpec, points) -> bool:
     return all(_incident(spec, p, line) for p in pts[2:])
 
 
+def _collinear_triple(spec: FieldSpec, pts):
+    """First collinear triple among pts, or None.  Quadratic sweep: two
+    distinct points seen on the same line through a base point betray one."""
+    for i, p in enumerate(pts):
+        seen: dict[Line, Point] = {}
+        for q in pts[i + 1 :]:
+            line = _line_through(spec, p, q)
+            if line in seen:
+                return (p, seen[line], q)
+            seen[line] = q
+    return None
+
+
 def all_points(spec: FieldSpec) -> list[Point]:
     """All q^2 + q + 1 points, affine first, then the line at infinity."""
     pts = [(a, b, 1) for a in spec.elements() for b in spec.elements()]
@@ -351,28 +364,6 @@ def point_to_json(p: Point) -> list[str]:
 
 def line_to_json(l: Line) -> dict:
     return {"line": point_to_json(l)}
-
-
-def line_from_json(spec: FieldSpec, obj) -> Line:
-    if not isinstance(obj, dict) or "line" not in obj:
-        raise GeometryError(f"malformed line: {obj!r}")
-    return point_from_json(spec, obj["line"])
-
-
-def matrix_to_json(mat: Matrix) -> list[str]:
-    return [f"0x{v:x}" for row in mat for v in row]
-
-
-def matrix_from_json(spec: FieldSpec, obj) -> Matrix:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 9:
-        raise GeometryError(f"malformed projectivity: {obj!r}")
-    vals = []
-    for v in obj:
-        try:
-            vals.append(int(v, 16) if isinstance(v, str) else int(v))
-        except (TypeError, ValueError) as exc:
-            raise GeometryError(f"malformed entry: {v!r}") from exc
-    return matrix_make(spec, (tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])))
 
 
 def point_from_json(spec: FieldSpec, obj) -> Point:

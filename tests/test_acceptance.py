@@ -462,9 +462,7 @@ def test_classification_q32_k8(k8_catalog, k6_catalog):
     assert len(rep.nonlinear_forms) == 15
     assert len(set(searched[0].nonlinear_arc_forms)) == 15
     assert rep.example_exists
-    # matches_example() is not asserted: it compares every class with the
-    # single example of the first valid triple, so it reads False here even
-    # though all 15 classes come from the construction (ROADMAP item 2)
+    assert rep.matches_example() is True
     assert elapsed < 60.0
     print(f"\nq=32: 15 non-linear classes at k=8, exhaustive, {elapsed:.1f}s")
 
@@ -675,7 +673,7 @@ def test_embedding_round_trip_to_factorization():
         arc = Arc(spec, emb.arc_points())
         from hyperarcs.blocking import BlockingSet
 
-        bset = BlockingSet(spec, emb.foci, arc)
+        bset = BlockingSet(spec, emb.foci)
         assert isomorphic(factorization_of(arc, bset), CASE1)
 
 

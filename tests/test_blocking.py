@@ -23,6 +23,7 @@ from hyperarcs.blocking import (
     ghf_construct,
     ghf_eight,
     is_blocking,
+    is_doubled_quadrangle,
     is_fano_configuration,
     min_blocking_sets,
     projectively_equivalent,
@@ -281,7 +282,7 @@ def check_against_incidence(arc, points):
     largest number of the set's points on one secant."""
     rows = secant_hits_by_incidence(arc, points)
     assert is_blocking(arc, points) == all(hits for _, _, hits in rows)
-    bset = BlockingSet(arc.spec, tuple(points), arc)
+    bset = BlockingSet(arc.spec, tuple(points))
     bad = next(((line, hits) for _, line, hits in rows if len(hits) != 1), None)
     if len(bset) != len(arc) - 1:
         with pytest.raises(BlockingError, match="not a minimum-size"):
@@ -344,15 +345,18 @@ def test_blocking_checks_match_incidence():
 # The doubled construction
 
 
-def first_valid_params(spec):
+def valid_params(spec):
     for lam in spec.elements():
         if lam in (0, 1):
             continue
         for a1 in spec.elements():
             for a2 in spec.elements():
                 if not ({a1, a2, a1 ^ a2} & {0, 1, lam, lam ^ 1}):
-                    return lam, a1, a2
-    return None
+                    yield lam, a1, a2
+
+
+def first_valid_params(spec):
+    return next(valid_params(spec), None)
 
 
 def test_ghf_eight_no_parameters_at_q4_and_q8():
@@ -431,6 +435,41 @@ def test_ghf_eight_rejects_explicit_bad_triple():
         ghf_eight(GF16, 2, 1, 4)
 
 
+@pytest.mark.parametrize("spec", [GF16, GF32], ids=lambda s: f"q{s.q}")
+def test_is_doubled_quadrangle_holds_on_ghf_eight_arcs(spec):
+    # as built, and moved by a random projectivity so that the standard
+    # frame is no longer the arc's first four points
+    rng = random.Random(spec.q)
+    for params in rng.sample(list(valid_params(spec)), 60):
+        arc = ghf_eight(spec, *params)[0]
+        assert is_doubled_quadrangle(arc)
+        assert is_doubled_quadrangle(moved(arc, random_projectivity(spec, rng)))
+
+
+@pytest.mark.parametrize("spec", [GF16, GF32], ids=lambda s: f"q{s.q}")
+def test_is_doubled_quadrangle_fails_on_random_eight_arcs(spec):
+    # every construction arc carries a non-linear minimum blocking set, and
+    # projectivities keep it, so an arc without one is outside the
+    # construction's classes
+    rng = random.Random(spec.q + 3)
+    for _ in range(200):
+        arc = random_arc(spec, 8, rng)
+        assert all(b.linear for b in min_blocking_sets(arc))
+        assert not is_doubled_quadrangle(arc)
+
+
+@pytest.mark.parametrize("spec", [GF16, GF32], ids=lambda s: f"q{s.q}")
+def test_is_doubled_quadrangle_fails_on_conic_and_translation_arcs(spec):
+    # eight points of a conic, and F + {0, (2, 4)}: the square and a
+    # translate, the excluded lam = 1, which passes every other condition
+    conic = Arc(spec, tuple((x, spec.mul(x, x), 1) for x in range(8)))
+    doubled = translation_arc(subgroup_make(spec, [(0, 1), (1, 0), (2, 4)]))
+    for arc in (conic, doubled):
+        assert all(b.linear for b in min_blocking_sets(arc))
+        assert not is_doubled_quadrangle(arc)
+    assert not is_doubled_quadrangle(quad_arc(spec))
+
+
 # ---------------------------------------------------------------------------
 # Triangle collinearity
 
@@ -449,7 +488,7 @@ def test_triangle_collinearity_linear_blocking():
 
 def test_triangle_collinearity_requires_minimum():
     arc = quad_arc(GF8)
-    fake = BlockingSet(GF8, ((0, 1, 0), (1, 0, 0)), arc)
+    fake = BlockingSet(GF8, ((0, 1, 0), (1, 0, 0)))
     with pytest.raises(BlockingError):
         triangle_collinearity(arc, fake)
 

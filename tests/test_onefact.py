@@ -697,6 +697,6 @@ def test_factorization_round_trip_through_embedding():
     embs, _ = embed_search(CASE2, spec, limit=1)
     emb = embs[0]
     arc = Arc(spec, emb.arc_points())
-    bset = BlockingSet(spec, emb.foci, arc)
+    bset = BlockingSet(spec, emb.foci)
     fact = factorization_of(arc, bset)
     assert isomorphic(fact, CASE2)
