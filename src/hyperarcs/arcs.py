@@ -131,7 +131,7 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
     """Orbit of an affine base point under the translations indexed by G.
 
     The slope test decides whether the orbit is an arc (see
-    is_translation_arc_group), so the orbit is not swept for collinear
+    _distinct_slopes), so the orbit is not swept for collinear
     triples."""
     spec = group.spec
     base = pp.normalize(spec, base)
