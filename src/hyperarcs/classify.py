@@ -37,11 +37,16 @@ class ClassRow:
     index: int
     contains_all: bool
     closure_depth: int
-    searched: bool
     embeddings: int
     nonlinear_embeddings: int
     exhausted: bool
     nonlinear_arc_forms: tuple
+
+    @property
+    def searched(self) -> bool:
+        """Whether the class was searched for embeddings: exactly when its
+        closure does not force every triple collinear."""
+        return not self.contains_all
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def classify_ghf(
             res = closure(fact)
             if res.contains_all:
                 rows.append(
-                    ClassRow(2 * n, idx, True, res.depth, False, 0, 0, True, ())
+                    ClassRow(2 * n, idx, True, res.depth, 0, 0, True, ())
                 )
                 continue
             embeddings, exhausted = embed_search(
@@ -155,7 +160,6 @@ def classify_ghf(
                     idx,
                     False,
                     res.depth,
-                    True,
                     len(embeddings),
                     len(nonlin),
                     exhausted,

@@ -104,7 +104,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -281,7 +281,7 @@ def _catalog_from_args(args, report: RunReport):
     try:
         with open(args.catalog) as fh:
             facts = parse_catalog(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read catalog {args.catalog}: {exc}") from exc
     except FactorizationError as exc:
         raise UsageError(f"bad catalog {args.catalog}: {exc}") from exc

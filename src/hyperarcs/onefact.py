@@ -224,23 +224,47 @@ class _EnumContext:
         # the stabilizer of the identity matching (0,1)(2,3)..., which has
         # order 2^n * n!.  Every element factors as sigma = B o F: F swaps
         # inside some blocks {2i, 2i+1} and B then permutes the n blocks.
-        # Relabeling by sigma is relabeling by F and then by B, so the row of
-        # sigma is [row_B[x] for x in row_F].  Only the n! block rows and
-        # the 2^n flip rows are built by relabeling; the rows are listed
-        # blocks outer, flips inner.
+        # Relabeling by sigma and then by tau has the row
+        # itemgetter(*row_sigma)(row_tau), so the row of sigma = B o F gathers
+        # row_B through row_F.  Only the n - 1 adjacent block swaps and the
+        # n single flips are relabeled matching by matching; every other
+        # block row is a gather along a breadth-first walk over S_n by
+        # adjacent swaps, and every flip row a chain of single-flip gathers.
+        # The rows are listed blocks outer, flips inner.
         def row(sigma):
             return [index[_apply_perm(sigma, m)] for m in matchings]
 
-        block_rows = [
-            row([2 * b + e for b in block for e in (0, 1)])
-            for block in permutations(range(n))
+        blocks = tuple(range(n))
+        swap_rows = []
+        for j in range(n - 1):
+            swapped = blocks[:j] + (j + 1, j) + blocks[j + 2 :]
+            swap_rows.append(row([2 * b + e for b in swapped for e in (0, 1)]))
+        ident = tuple(range(len(matchings)))
+        by_block = {blocks: ident}
+        queue = [blocks]
+        for p in queue:
+            for j, swap_row in enumerate(swap_rows):
+                q = p[:j] + (p[j + 1], p[j]) + p[j + 2 :]
+                if q not in by_block:
+                    # q relabels by the swap and then by p
+                    by_block[q] = itemgetter(*swap_row)(by_block[p])
+                    queue.append(q)
+        block_rows = [by_block[p] for p in permutations(blocks)]
+        single_flips = [
+            row([v ^ 1 if v >> 1 == i else v for v in range(n2)])
+            for i in range(n)
         ]
-        flip_rows = [
-            row([2 * i + (f ^ e) for i, f in enumerate(flips) for e in (0, 1)])
-            for flips in product((0, 1), repeat=n)
-        ]
+        # product order: flip row k flips block i when bit n-1-i of k is set,
+        # and is row k - low gathered through the flip of the lowest set bit
+        flip_rows = [ident]
+        for k in range(1, 1 << n):
+            low = k & -k
+            single = single_flips[n - low.bit_length()]
+            flip_rows.append(itemgetter(*flip_rows[k - low])(single))
         self.stab_rows = [
-            [row_b[x] for x in row_f] for row_b in block_rows for row_f in flip_rows
+            list(itemgetter(*row_f)(row_b))
+            for row_b in block_rows
+            for row_f in flip_rows
         ]
         # canonical second factors: minimal in their stabilizer orbit
         # among matchings disjoint from the identity factor

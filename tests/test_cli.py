@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,35 @@ def test_bad_input_is_exit_2_with_message(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["onefact", "closure", "--catalog", "{bad}"],
+        ["onefact", "embed", "--catalog", "{bad}", "--q", "8"],
+        ["arc", "verify", "--in", "{bad}"],
+        ["blocking", "find", "--in", "{bad}", "--all"],
+    ],
+)
+def test_non_utf8_input_is_exit_2_with_message(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, *[a.replace("{bad}", str(bad)) for a in argv])
+    assert code == 2
+    assert err.startswith("error: cannot read ")
+    assert out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperarcs", "field", "--r", "3"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["q"] == 8
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from hyperarcs.gf2 import field_make
+from hyperarcs import onefact
 from hyperarcs import projplane as pp
 from hyperarcs.onefact import (
     Embedding,
@@ -229,6 +230,23 @@ def test_stab_rows_match_direct_relabeling_k10_sample():
     assert len(ctx.stab_rows) == len(sigmas) == 3840
     for t in random.Random(10).sample(range(len(sigmas)), 64):
         assert ctx.stab_rows[t] == stab_row_oracle(ctx, sigmas[t]), t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stab_rows_relabel_only_generators(monkeypatch, n):
+    # only the n - 1 adjacent block swaps and the n single flips relabel
+    # every matching; the other 2^n n! - 2n + 1 rows are gathers
+    calls = 0
+    apply_perm = onefact._apply_perm
+
+    def counting(perm, matching):
+        nonlocal calls
+        calls += 1
+        return apply_perm(perm, matching)
+
+    monkeypatch.setattr(onefact, "_apply_perm", counting)
+    ctx = onefact._EnumContext(n)
+    assert 0 < calls <= (2 * n - 1) * len(ctx.matchings)
 
 
 @pytest.mark.parametrize("n", [3, 4])
