@@ -54,8 +54,14 @@ class ClassificationReport:
     spec: FieldSpec
     max_k: int
     rows: tuple[ClassRow, ...]
-    nonlinear_forms: tuple  # (k, canonical form) pairs, deduplicated
-    exhaustive: bool
+
+    @property
+    def nonlinear_forms(self) -> tuple:  # (k, canonical form) pairs, deduplicated
+        return tuple(sorted({(row.k, f) for row in self.rows for f in row.nonlinear_arc_forms}))
+
+    @property
+    def exhaustive(self) -> bool:  # closure-forced rows are exhausted
+        return all(row.exhausted for row in self.rows)
 
     @property
     def example_exists(self) -> bool:
@@ -69,14 +75,17 @@ class ClassificationReport:
         return tuple(sorted({k for k, _ in self.nonlinear_forms}))
 
     def matches_example(self) -> bool | None:
-        """Whether some non-linear class was found and every one is a class
-        of the ghf_eight construction, over any valid triple (see
-        is_doubled_quadrangle); None when the construction does not exist
-        at this q."""
+        """Whether the non-linear classes found are exactly the classes of
+        the ghf_eight construction over all valid triples: there are
+        (q-2)(q-4)(q-8)/1344 of them (1 at q = 16, 15 at q = 32), and every
+        one found is a construction class (see is_doubled_quadrangle).  A
+        budgeted run that misses a class reads False.  None when the
+        construction does not exist at this q."""
         if not self.example_exists:
             return None
-        return bool(self.nonlinear_forms) and all(
-            is_doubled_quadrangle(Arc(self.spec, form)) for _, form in self.nonlinear_forms
+        forms, q = self.nonlinear_forms, self.spec.q
+        return 1344 * len(forms) == (q - 2) * (q - 4) * (q - 8) and all(
+            is_doubled_quadrangle(Arc(self.spec, form)) for _, form in forms
         )
 
     def to_json(self) -> dict:
@@ -127,9 +136,7 @@ def classify_ghf(
     if max_k < 6:
         raise FactorizationError(f"max_k = {max_k} is below the first swept size 6")
     rows: list[ClassRow] = []
-    nonlinear: set[tuple] = set()
     classes = ArcClasses()
-    exhaustive = True
 
     for n in range(3, max_k // 2 + 1):
         facts = (
@@ -147,13 +154,11 @@ def classify_ghf(
             embeddings, exhausted = embed_search(
                 fact, spec, max_nodes=embed_budget
             )
-            exhaustive = exhaustive and exhausted
             nonlin = [e for e in embeddings if not e.focus_collinear()]
             arcs = sorted({e.arc_points() for e in nonlin})
             forms = tuple(
                 sorted({classes.form(Arc(spec, pts)) for pts in arcs})
             )
-            nonlinear.update((2 * n, form) for form in forms)
             rows.append(
                 ClassRow(
                     2 * n,
@@ -167,10 +172,4 @@ def classify_ghf(
                 )
             )
 
-    return ClassificationReport(
-        spec=spec,
-        max_k=max_k,
-        rows=tuple(rows),
-        nonlinear_forms=tuple(sorted(nonlinear)),
-        exhaustive=exhaustive,
-    )
+    return ClassificationReport(spec=spec, max_k=max_k, rows=tuple(rows))

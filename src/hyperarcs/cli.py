@@ -120,7 +120,15 @@ def _cmd_field(args, report: RunReport) -> int:
     return 0
 
 
+# the flags each arc build example reads, besides the field flags and --save
+_EXAMPLE_FLAGS = {"n1": ("h_basis",), "n2": ("h_basis", "i"), "n3": ("eta", "b")}
+
+
 def _cmd_arc_build(args, report: RunReport) -> int:
+    for name in ("h_basis", "i", "eta", "b"):
+        if getattr(args, name) is not None and name not in _EXAMPLE_FLAGS[args.example]:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"example {args.example} does not read {flag}")
     spec = _field_from_args(args)
     report.field = spec.to_json()
     basis = _parse_basis(args.h_basis) if args.h_basis else [1 << k for k in range(spec.r)]

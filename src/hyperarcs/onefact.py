@@ -417,47 +417,43 @@ class ClosureResult:
 
     members: int
     k: int
-    contains_all: bool
     depth: int
+
+    @property
+    def contains_all(self) -> bool:
+        return bool(self.members >> ((1 << self.k) - 1))
 
     @cached_property
     def family(self) -> frozenset[frozenset[int]]:
-        # masks to factor sets through the index tuples of their low and
-        # high halves, 2^(k/2) entries each
-        h = self.k // 2
-        low, high = [()], [()]
-        for i in range(self.k):
-            half = low if i < h else high
-            half += [s + (i + 1,) for s in half]
-        lmask = (1 << h) - 1
-        return frozenset(
-            frozenset(low[m & lmask] + high[m >> h])
-            for m in _set_bits(self.members)
-        )
+        return _factor_sets(_set_bits(self.members))
+
+
+def _factor_table(fact: OneFactorization) -> list[list[int]]:
+    """table[u][v] is the (1-based) factor index of the edge uv, for u, v
+    in 1..n_vertices; row and column 0 and the diagonal hold 0."""
+    n2 = fact.n_vertices
+    table = [[0] * (n2 + 1) for _ in range(n2 + 1)]
+    for i, f in enumerate(fact.factors, start=1):
+        for u, v in f:
+            table[u][v] = table[v][u] = i
+    return table
 
 
 def _triangle_masks(fact: OneFactorization) -> set[int]:
-    """Each vertex triangle's factor mask: the OR of its edges' bits."""
-    n2 = fact.n_vertices
-    bit = [[0] * n2 for _ in range(n2)]
-    for i, f in enumerate(fact.factors):
-        for u, v in f:
-            bit[u - 1][v - 1] = bit[v - 1][u - 1] = 1 << i
-    masks = set()
-    for u, row_u in enumerate(bit):
-        for v in range(u + 1, n2):
-            uv = row_u[v]
-            masks.update(uv | a | b for a, b in zip(row_u[v + 1 :], bit[v][v + 1 :]))
-    return masks
+    """Each vertex triangle's factor mask: bit i - 1 for factor i of each
+    of its edges."""
+    table = _factor_table(fact)
+    return {
+        (1 << table[u][v] | 1 << table[u][w] | 1 << table[v][w]) >> 1
+        for u, v, w in combinations(range(1, fact.n_vertices + 1), 3)
+    }
 
 
 def triangle_triples(fact: OneFactorization) -> frozenset[frozenset[int]]:
     """For each vertex triangle, the set of the three factors carrying its
     edges.  The factors are distinct automatically: two sides of a triangle
     share a vertex, and a matching holds at most one of them."""
-    return frozenset(
-        frozenset(i + 1 for i in _set_bits(m)) for m in _triangle_masks(fact)
-    )
+    return _factor_sets(_triangle_masks(fact))
 
 
 def _set_bits(bits: int) -> list[int]:
@@ -467,6 +463,11 @@ def _set_bits(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
+
+
+def _factor_sets(masks) -> frozenset[frozenset[int]]:
+    """The (1-based) factor sets of factor masks."""
+    return frozenset(frozenset(i + 1 for i in _set_bits(m)) for m in masks)
 
 
 def closure(fact: OneFactorization) -> ClosureResult:
@@ -523,7 +524,7 @@ def closure(fact: OneFactorization) -> ClosureResult:
         family |= new
         added = _set_bits(new)
         depth += 1
-    return ClosureResult(family, k, bool(family >> ((1 << k) - 1)), depth)
+    return ClosureResult(family, k, depth)
 
 
 def closure_survey(facts) -> list[dict]:
@@ -582,20 +583,15 @@ class Embedding:
         return tuple(sorted(self.vertices))
 
 
-def _pinned_four(fact: OneFactorization) -> tuple[int, ...]:
+def _pinned_four(table: list[list[int]]) -> tuple[int, ...]:
     """Four vertices covering as many two-edge factors as possible, so the
-    frame pin forces focus points immediately."""
-    factor_of = fact.factor_of_edge()
+    frame pin forces focus points immediately; table is _factor_table's."""
     best, best_score = None, -1
-    for quad in combinations(range(1, fact.n_vertices + 1), 4):
-        pairs = [
-            ((quad[0], quad[1]), (quad[2], quad[3])),
-            ((quad[0], quad[2]), (quad[1], quad[3])),
-            ((quad[0], quad[3]), (quad[1], quad[2])),
-        ]
-        score = sum(1 for e1, e2 in pairs if factor_of[e1] == factor_of[e2])
+    for a, b, c, d in combinations(range(1, len(table)), 4):
+        ta, tb = table[a], table[b]
+        score = (ta[b] == table[c][d]) + (ta[c] == tb[d]) + (ta[d] == tb[c])
         if score > best_score:
-            best, best_score = quad, score
+            best, best_score = (a, b, c, d), score
             if score == 3:
                 break
     return best
@@ -631,13 +627,8 @@ def embed_search(
     if spec.q > 32:
         raise FactorizationError("embedding search supports q <= 32")
 
-    factor_of = fact.factor_of_edge()
-    edge_factor = {}
-    for (u, v), fi in factor_of.items():
-        edge_factor[(u, v)] = fi
-        edge_factor[(v, u)] = fi
-
-    pinned = _pinned_four(fact)
+    table = _factor_table(fact)
+    pinned = _pinned_four(table)
     remaining = [v for v in range(1, n2 + 1) if v not in pinned]
 
     all_pts = pp.all_points(spec)
@@ -665,7 +656,7 @@ def embed_search(
             if line in lines:
                 break
             lines.add(line)
-            fi = edge_factor[(v, u)]
+            fi = table[v][u]
             if fi in focus:
                 continue
             first = edge_line.get(fi)
@@ -695,26 +686,23 @@ def embed_search(
         used.discard(p)
 
     def candidates(v: int) -> list[Point]:
-        constraint_lines = []
-        for u, up in state_pos.items():
-            f = focus.get(edge_factor[(v, u)])
-            if f is not None:
-                constraint_lines.append(pp._line_through(spec, f, up))
-        if not constraint_lines:
+        lines = {
+            pp._line_through(spec, f, up)
+            for u, up in state_pos.items()
+            if (f := focus.get(table[v][u])) is not None
+        }
+        if not lines:
             return all_pts
-        first = constraint_lines[0]
-        other = next((line for line in constraint_lines if line != first), None)
-        if other is None:
+        first = lines.pop()
+        if not lines:
             return sorted(pp._line_points(spec, first))
         # two distinct lines share one point, which the rest must carry
-        p = pp._meet(spec, first, other)
-        if all(pp._incident(spec, p, line) for line in constraint_lines):
-            return [p]
-        return []
+        p = pp._meet(spec, first, lines.pop())
+        return [p] if all(pp._incident(spec, p, line) for line in lines) else []
 
     def next_vertex(left: list[int]) -> int:
         def constrained(v):
-            return sum(1 for u in state_pos if edge_factor[(v, u)] in focus)
+            return sum(1 for u in state_pos if table[v][u] in focus)
 
         return max(left, key=lambda v: (constrained(v), -v))
 

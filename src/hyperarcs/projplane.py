@@ -371,8 +371,11 @@ def point_from_json(spec: FieldSpec, obj) -> Point:
         raise GeometryError(f"malformed point: {obj!r}")
     vals = []
     for v in obj:
+        # a base-16 string or an int; a float or bool is refused, not truncated
+        if type(v) not in (str, int):
+            raise GeometryError(f"malformed coordinate: {v!r}")
         try:
-            vals.append(int(v, 16) if isinstance(v, str) else int(v))
-        except (TypeError, ValueError) as exc:
+            vals.append(int(v, 16) if isinstance(v, str) else v)
+        except ValueError as exc:
             raise GeometryError(f"malformed coordinate: {v!r}") from exc
     return normalize(spec, tuple(vals))

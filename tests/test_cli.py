@@ -237,6 +237,37 @@ def test_arc_build_n2_missing_i(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--example", "n1", "--r", "3", "--i", "2"], "--i"),
+        (["--example", "n3", "--q", "16", "--h-basis", "1,2"], "--h-basis"),
+        (["--example", "n2", "--r", "5", "--i", "2", "--eta", "7"], "--eta"),
+    ],
+)
+def test_arc_build_rejects_a_flag_its_example_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "arc", "build", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: example {argv[1]} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("command", [["arc", "verify"], ["blocking", "find"]])
+@pytest.mark.parametrize("coordinate", [0.9, 2.9, True])
+def test_non_integer_coordinate_is_exit_2(tmp_path, capsys, command, coordinate):
+    # the standard frame of PG(2, 4), with (0, 0, 1) spelt [coordinate, 0, 1]:
+    # truncated to an int, the file would read as a 4-arc
+    bad = tmp_path / "arc.json"
+    bad.write_text(json.dumps({
+        "field": {"r": 2},
+        "points": [[1, 0, 0], [0, 1, 0], [coordinate, 0, 1], [1, 1, 1]],
+    }))
+    code, out, err = run(capsys, *command, "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "malformed coordinate" in err
+
+
 def test_arc_complete(capsys):
     code, report, _ = run_json(capsys, "arc", "complete", "--r", "6", "--s", "3")
     assert code == 0
@@ -435,6 +466,19 @@ def test_classify_small(capsys):
     body = report["results"]["classification"]
     assert body["nonlinear"] == {"ks": [], "projective_classes": 0}
     assert report["verdicts"]["exhaustive"] is True
+
+
+def test_classify_budgeted_partial_catalog_does_not_match_example(capsys):
+    # the budget stops the q = 32 search after 14 of the construction's 15
+    # classes: every class found is a construction class, but not all are
+    code, report, _ = run_json(
+        capsys, "classify", "--q", "32", "--max-k", "8", "--budget", "300"
+    )
+    assert code == 0
+    assert report["results"]["nonlinear_classes"] == 14
+    assert report["verdicts"]["exhaustive"] is False
+    assert report["verdicts"]["matches_known_eight_arc"] is False
+    assert report["results"]["classification"]["matches_example"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,26 @@ def test_closure_gk14_counts_frozen():
     assert (res.contains_all, res.depth, len(res.family)) == (True, 4, 8100)
 
 
+def test_factor_table_matches_factor_of_edge(k8_catalog, k10_catalog):
+    k10, _ = k10_catalog
+    rng = random.Random(13)
+    facts = [K6, *k8_catalog, round_robin(12)]
+    facts += [relabeled(fact, rng) for fact in rng.sample(k10, 20)]
+    for fact in facts:
+        table = onefact._factor_table(fact)
+        factor_of = fact.factor_of_edge()
+        n2 = fact.n_vertices
+        assert len(table) == n2 + 1 and all(len(row) == n2 + 1 for row in table)
+        for u, v in combinations(range(1, n2 + 1), 2):
+            assert table[u][v] == table[v][u] == factor_of[(u, v)]
+
+
+def test_contains_all_reads_the_family(k8_catalog):
+    for fact in [*k8_catalog, round_robin(12)]:
+        res = closure(fact)
+        assert res.contains_all == (frozenset(range(1, res.k + 1)) in res.family)
+
+
 def brute_force_triples(fact):
     """Oracle: the factor set of every vertex triangle, read edge by edge
     from factor_of_edge."""

@@ -343,6 +343,18 @@ def test_point_json_round_trip():
         pp.point_from_json(GF8, ["0x1", "0x2"])
 
 
+@pytest.mark.parametrize("coordinate", [0.9, 2.9, 1.0, True, False, None, [1]])
+def test_point_from_json_refuses_non_integer_coordinates(coordinate):
+    with pytest.raises(pp.GeometryError, match="malformed coordinate"):
+        pp.point_from_json(GF8, [coordinate, 0, 1])
+
+
+def test_point_from_json_reads_ints_and_hex_strings():
+    assert pp.point_from_json(GF8, [5, "0x0", 1]) == (5, 0, 1)
+    with pytest.raises(pp.GeometryError, match="malformed coordinate"):
+        pp.point_from_json(GF8, ["0xg", 0, 1])
+
+
 def test_line_and_matrix_json_round_trip():
     line = pp.line_through(GF8, (0, 0, 1), (1, 1, 1))
     blob = pp.line_to_json(line)
