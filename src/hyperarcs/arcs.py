@@ -113,13 +113,18 @@ class Arc:
 def arc_from_json(obj: dict) -> Arc:
     """The arc an arc file describes; CollinearError when it has three
     collinear points, other ArcError, GeometryError or FieldError when the
-    data is malformed."""
+    data is malformed or lists one projective point twice."""
     if not isinstance(obj, dict) or "field" not in obj or "points" not in obj:
         raise ArcError(f"malformed arc object: keys {sorted(obj) if isinstance(obj, dict) else type(obj)}")
     if not isinstance(obj["points"], (list, tuple)):
         raise ArcError(f"malformed arc object: points {obj['points']!r} is not a list")
     spec = field_from_json(obj["field"])
     pts = [pp.point_from_json(spec, p) for p in obj["points"]]
+    seen: set[Point] = set()
+    for p in pts:
+        if p in seen:
+            raise ArcError(f"point {pp.point_to_json(p)} is listed twice")
+        seen.add(p)
     return Arc(spec, tuple(pts))
 
 

@@ -5,8 +5,11 @@ Two are isomorphic when a vertex relabeling maps one factor set onto the
 other.  Enumeration up to isomorphism is by orderly generation: factors are
 added in lexicographic order and a partial object survives only if no
 relabeling yields a lexicographically smaller image, so exactly the minimal
-representative of every class reaches full length.  Enumeration and
-canonical forms cover K4 to K10.
+representative of every class reaches full length.  Only images that can
+beat the sorted ranks are sorted: an image whose second matching ranks
+below the second factor wins outright, so only one that ties there and
+holds a third matching of rank at most the third factor's is compared in
+full.  Enumeration and canonical forms cover K4 to K10.
 
 The triple-closure machinery lives here too: triangles induce 3-sets of
 factors whose embedded focus points must be collinear, and unioning sets
@@ -33,9 +36,9 @@ line to force the focus, or, by the choice of candidates, through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
@@ -271,25 +274,45 @@ class _EnumContext:
         self.reps2 = {
             m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
         }
-        # for each canonical second factor r and every matching m: which
-        # stabilizer elements send m to a bucket-2 matching y of rank at
-        # most r.  Only those few targets y are looked up, each in the
-        # inverse row of every element, composed as inverse(F)[inverse(B)[y]].
-        reps2 = sorted(self.reps2)
-        targets = [
-            (y, [r for r in reps2 if y <= r]) for y in valid2 if y <= reps2[-1]
-        ]
-        t_by_m: dict[int, dict[int, list[int]]] = {r: {} for r in reps2}
-        inverses = product(map(_inverse, block_rows), map(_inverse, flip_rows))
-        for t, (inv_b, inv_f) in enumerate(inverses):
-            for y, rs in targets:
-                m = inv_f[inv_b[y]]
-                for r in rs:
-                    t_by_m[r].setdefault(m, []).append(t)
-        self.t_by_m = {
-            r: {m: tuple(ts) for m, ts in table.items()}
-            for r, table in t_by_m.items()
-        }
+        # Stabilizer element t is bit t of a candidate set.  For each
+        # canonical second factor r, t_eq[r][m] holds the elements sending
+        # matching m to r itself, found by looking r up in the inverse row
+        # of every element, composed as inv_f[inv_b[r]].  beats[r] holds the
+        # matchings that some element sends to a bucket-2 matching y of rank
+        # below r, disjoint from the identity.  The orbit of such a y lies in
+        # the matchings disjoint from the identity, so its least member y'
+        # is in bucket 2 and canonical, with y' <= y < r.  beats[r] is
+        # therefore the union of the orbits of the smaller canonical r', the
+        # matchings m with t_eq[r'][m] nonzero.
+        self.inverses = list(
+            product(map(_inverse, block_rows), map(_inverse, flip_rows))
+        )
+        self.t_eq: dict[int, list[int]] = {}
+        self.beats: dict[int, set[int]] = {}
+        below: set[int] = set()
+        for r in sorted(self.reps2):
+            self.beats[r] = set(below)
+            self.t_eq[r] = self.preimages([r])
+            below.update(m for m, ts in enumerate(self.t_eq[r]) if ts)
+
+    def preimages(self, targets) -> list[int]:
+        """Bit t of table[m] is set when stabilizer element t sends matching
+        m into targets."""
+        table = [0] * len(self.matchings)
+        for t, (inv_b, inv_f) in enumerate(self.inverses):
+            bit = 1 << t
+            for y in targets:
+                table[inv_f[inv_b[y]]] |= bit
+        return table
+
+    def bucket3_table(self, r1: int, r2: int) -> list[int]:
+        """The second filter below the level-3 prefix (r1, r2): the
+        preimages of the bucket-3 matchings of rank at most r2 that are
+        disjoint from the identity and from r1."""
+        taken = self.masks[0] | self.masks[r1]
+        return self.preimages(
+            [y for y in self.bucket[3] if y <= r2 and not self.masks[y] & taken]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -297,27 +320,43 @@ def _context(n: int) -> _EnumContext:
     return _EnumContext(n)
 
 
-def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor) -> bool:
+def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor, low3) -> bool:
     """True when some relabeling puts the factor set strictly below its own
     sorted rank sequence.  per_factor holds, for each factor i, the images
     of all current factors under the fixed map sending factor i onto the
     identity matching; composing with stabilizer elements covers every
-    relabeling whose image could start at rank 0.  A beating image must put
-    a bucket-2 matching of rank at most ranks[1] in second position, so
-    only stabilizer elements achieving that (precomputed in t_by_m) need
-    full comparison."""
-    t_by_m = ctx.t_by_m[ranks[1]]
+    relabeling whose image could start at rank 0.
+
+    The factors of an image are disjoint, so they pair vertex 0 with
+    distinct partners and lie in distinct buckets; as ranks order buckets,
+    position k of the sorted image holds its bucket-(k+1) matching or a
+    larger one.  ranks[1] lies in bucket 2 and ranks[2] in bucket 3.  Each
+    list holds the identity, so every other image is disjoint from it.
+    Position 1 of an image is therefore below ranks[1] exactly when the
+    image holds a bucket-2 matching of rank below ranks[1], disjoint from
+    the identity: some factor is in beats[ranks[1]], and the answer is True
+    with no sort.  Otherwise an image can beat ranks only by tying at
+    position 1, holding ranks[1] itself (t_eq), and then not losing at
+    position 2, holding a bucket-3 matching of rank at most ranks[2],
+    disjoint from the identity and from ranks[1] (low3, the table of the
+    level-3 prefix, or None at level 3).  Only images meeting both are
+    sorted."""
+    r1 = ranks[1]
+    beats = ctx.beats[r1]
+    if any(not beats.isdisjoint(mlist) for mlist in per_factor):
+        return True
+    t_eq = ctx.t_eq[r1]
     rows = ctx.stab_rows
     for mlist in per_factor:
-        cands: set[int] = set()
-        for m in mlist:
-            hit = t_by_m.get(m)
-            if hit:
-                cands.update(hit)
         image = itemgetter(*mlist)
-        for t in cands:
-            if sorted(image(rows[t])) < ranks:
+        cands = reduce(or_, image(t_eq))
+        if low3 is not None:
+            cands &= reduce(or_, image(low3))
+        while cands:
+            bit = cands & -cands
+            if sorted(image(rows[bit.bit_length() - 1])) < ranks:
                 return True
+            cands ^= bit
     return False
 
 
@@ -334,7 +373,8 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
     index = ctx.index
     results: list[tuple[int, ...]] = []
 
-    def rec(ranks: list[int], per_factor: list[list[int]], sigmas: list, used: int):
+    def rec(ranks: list[int], per_factor: list[list[int]], sigmas: list, used: int,
+            low3: list[int] | None):
         level = len(ranks)
         if level == n2 - 1:
             results.append(tuple(ranks))
@@ -355,12 +395,13 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
             if level + 1 == 2:
                 if m not in ctx.reps2:
                     continue
-            elif _smaller_image_exists(ctx, child_ranks, child_per):
+            elif _smaller_image_exists(ctx, child_ranks, child_per, low3):
                 continue
-            rec(child_ranks, child_per, sigmas + [sig_new], used | masks[m])
+            child_low3 = ctx.bucket3_table(ranks[1], m) if level + 1 == 3 else low3
+            rec(child_ranks, child_per, sigmas + [sig_new], used | masks[m], child_low3)
 
     identity = 0
-    rec([identity], [[identity]], [tuple(range(n2))], masks[identity])
+    rec([identity], [[identity]], [tuple(range(n2))], masks[identity], None)
     return [_ranks_to_factorization(ctx, ranks) for ranks in results]
 
 

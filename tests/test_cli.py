@@ -268,6 +268,22 @@ def test_non_integer_coordinate_is_exit_2(tmp_path, capsys, command, coordinate)
     assert err.startswith("error: ") and "malformed coordinate" in err
 
 
+@pytest.mark.parametrize("command", [["arc", "verify"], ["blocking", "find"]])
+@pytest.mark.parametrize("repeat", [[1, 1, 1], [2, 2, 2]])
+def test_repeated_point_is_exit_2(tmp_path, capsys, command, repeat):
+    # the standard frame of PG(2, 4) with (1, 1, 1) listed again, literally
+    # or as the multiple (2, 2, 2): merged, the file would read as a 4-arc
+    bad = tmp_path / "arc.json"
+    bad.write_text(json.dumps({
+        "field": {"r": 2},
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], repeat],
+    }))
+    code, out, err = run(capsys, *command, "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "listed twice" in err
+
+
 def test_arc_complete(capsys):
     code, report, _ = run_json(capsys, "arc", "complete", "--r", "6", "--s", "3")
     assert code == 0

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import sys
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -251,19 +253,119 @@ def test_stab_rows_relabel_only_generators(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_second_rank_filter_matches_row_scan(n):
-    # t_by_m[r][m]: the stabilizer elements sending m to a bucket-2
-    # matching of rank at most r, scanned here row by row
+    # beats[r]: the matchings some stabilizer element sends to a bucket-2
+    # matching y < r disjoint from the identity; bit t of t_eq[r][m]: element
+    # t sends m to r itself.  Both scanned here row by row.
     ctx = _context(n)
-    expected = {r: {} for r in ctx.reps2}
+    beats = {r: set() for r in ctx.reps2}
+    t_eq = {r: [0] * len(ctx.matchings) for r in ctx.reps2}
     for t, row in enumerate(ctx.stab_rows):
         for m, y in enumerate(row):
             if y in ctx.bucket[2] and not ctx.masks[y] & ctx.masks[0]:
                 for r in ctx.reps2:
-                    if y <= r:
-                        expected[r].setdefault(m, []).append(t)
-    assert ctx.t_by_m == {
-        r: {m: tuple(ts) for m, ts in table.items()} for r, table in expected.items()
-    }
+                    if y < r:
+                        beats[r].add(m)
+                    elif y == r:
+                        t_eq[r][m] |= 1 << t
+    assert ctx.beats == beats
+    assert ctx.t_eq == t_eq
+
+
+def third_rank_oracle(ctx, r1, r2, elements):
+    """Bit t of table[m], for t in elements: element t sends m to a bucket-3
+    matching of rank at most r2 disjoint from the identity and from r1,
+    scanned row by row."""
+    taken = ctx.masks[0] | ctx.masks[r1]
+    table = [0] * len(ctx.matchings)
+    for t in elements:
+        for m, y in enumerate(ctx.stab_rows[t]):
+            if y in ctx.bucket[3] and y <= r2 and not ctx.masks[y] & taken:
+                table[m] |= 1 << t
+    return table
+
+
+def ranks_of(ctx, fact):
+    ranks = []
+    for f in fact.factors:
+        partner = [0] * fact.n_vertices
+        for u, v in f:
+            partner[u - 1], partner[v - 1] = v - 1, u - 1
+        ranks.append(ctx.index[tuple(partner)])
+    return sorted(ranks)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_third_rank_filter_matches_row_scan(monkeypatch, n):
+    # every level-3 prefix the enumeration builds a table for
+    build = onefact._EnumContext.bucket3_table
+    prefixes = []
+
+    def recording(ctx, r1, r2):
+        prefixes.append((r1, r2))
+        return build(ctx, r1, r2)
+
+    monkeypatch.setattr(onefact._EnumContext, "bucket3_table", recording)
+    enumerate_factorizations(n)
+    ctx = _context(n)
+    assert prefixes
+    for r1, r2 in prefixes:
+        expected = third_rank_oracle(ctx, r1, r2, range(len(ctx.stab_rows)))
+        assert build(ctx, r1, r2) == expected, (r1, r2)
+
+
+def test_third_rank_filter_matches_row_scan_k10_sample(k10_catalog):
+    # the level-3 prefixes of the K10 classes, on 64 stabilizer elements
+    ctx = _context(5)
+    facts, _ = k10_catalog
+    prefixes = sorted({tuple(ranks_of(ctx, f)[1:3]) for f in facts})
+    sample = random.Random(21).sample(range(len(ctx.stab_rows)), 64)
+    in_sample = sum(1 << t for t in sample)
+    for r1, r2 in prefixes:
+        table = ctx.bucket3_table(r1, r2)
+        expected = third_rank_oracle(ctx, r1, r2, sample)
+        assert [bits & in_sample for bits in table] == expected, (r1, r2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_image_filters_decide_as_a_brute_scan(monkeypatch, n):
+    # at every node of the enumeration, the filtered test answers as a sort
+    # of every per-factor image under every stabilizer row
+    decide = onefact._smaller_image_exists
+    answers = []
+
+    def checked(ctx, ranks, per_factor, low3):
+        got = decide(ctx, ranks, per_factor, low3)
+        brute = any(
+            sorted(itemgetter(*mlist)(row)) < ranks
+            for mlist in per_factor
+            for row in ctx.stab_rows
+        )
+        assert got == brute, ranks
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(onefact, "_smaller_image_exists", checked)
+    assert len(enumerate_factorizations(n)) == {3: 1, 4: 6}[n]
+    # no K6 node is rejected
+    assert set(answers) == {3: {False}, 4: {False, True}}[n]
+
+
+def test_k8_enumeration_image_sort_count(monkeypatch):
+    # the full image sorts of the K8 enumeration; with the second-rank filter
+    # alone there are 13,065, so a change losing the third-rank filter, or
+    # sorting where a table answers, fails here
+    decide = onefact._smaller_image_exists.__code__
+    sorts = 0
+
+    def counting(seq):
+        nonlocal sorts
+        if sys._getframe(1).f_code is decide:
+            sorts += 1
+        return sorted(seq)
+
+    monkeypatch.setattr(onefact, "sorted", counting, raising=False)
+    enumerate_factorizations(4)
+    assert sorts == 7063
 
 
 # SHA-256 of format_catalog, as stored in perfbench/golden/digests.json:
