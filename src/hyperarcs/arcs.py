@@ -4,7 +4,9 @@ A translation arc is the orbit of an affine point under the group of
 translations (x, y) -> (x + a, y + b) indexed by an additive subgroup G of
 F_q x F_q.  Every secant of such an arc meets the line at infinity in the
 direction of a nonzero element of G, so the q-1 or fewer directions form a
-linear blocking set: translation arcs are hyperfocused.
+linear blocking set: translation arcs are hyperfocused.  The orbit is an arc
+exactly when those directions are |G| - 1 distinct points, so counting them
+is the one arc test (is_translation_arc_group).
 
 This module builds them, doubles them through uncovered points, enumerates
 the translation q-arcs containing a given one via the additive normal form
@@ -50,13 +52,6 @@ class CollinearError(ArcError):
 Pair = tuple[int, int]
 
 
-def _span(pairs) -> set[Pair]:
-    elements = {(0, 0)}
-    for a, b in pairs:
-        elements |= {(a ^ x, b ^ y) for x, y in elements}
-    return elements
-
-
 @dataclass(frozen=True)
 class AdditiveSubgroup:
     """An F2-subspace of F_q x F_q, presented by a basis of pairs."""
@@ -77,7 +72,9 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     basis = tuple((int(a), int(b)) for a, b in basis)
     for a, b in basis:
         spec.check(a, b)
-    elements = _span(basis)
+    elements = {(0, 0)}
+    for a, b in basis:
+        elements |= {(a ^ x, b ^ y) for x, y in elements}
     if len(elements) != 1 << len(basis):
         raise ArcError("generators are not F2-independent")
     return AdditiveSubgroup(spec, basis, tuple(sorted(elements)))
@@ -91,7 +88,7 @@ class Arc:
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = tuple(sorted(set(self.points)))
+        pts = tuple(sorted({pp.normalize(self.spec, p) for p in self.points}))
         object.__setattr__(self, "points", pts)
         witness = _collinear_triple(self.spec, pts)
         if witness is not None:
@@ -135,15 +132,15 @@ def arc_from_json(obj: dict) -> Arc:
 def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
     """Orbit of an affine base point under the translations indexed by G.
 
-    The slope test decides whether the orbit is an arc (see
-    _distinct_slopes), so the orbit is not swept for collinear
-    triples."""
+    The direction count decides whether the orbit is an arc (see
+    is_translation_arc_group), so the orbit is not swept for collinear
+    triples, and its points, affine and normalized, bypass Arc's checks."""
     spec = group.spec
     base = pp.normalize(spec, base)
     if base[2] != 1:
         raise ArcError("base point must be affine")
-    if not _distinct_slopes(spec, group.basis):
-        raise ArcError("orbit is not an arc: two elements of G share a slope")
+    if not is_translation_arc_group(group):
+        raise ArcError("orbit is not an arc: two elements of G share a direction")
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
     object.__setattr__(
@@ -176,9 +173,9 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
 
     Candidate pairs are validated by the only sound criterion: the point
     (eta, b*eta^2, 1) must lie on no secant of the small arc, which the
-    slope test decides (see extend_double).  With explicit
-    (eta, b) the pair is checked and the doubled arc returned; with none
-    given, all pairs are scanned and the first valid one used.  Returns
+    direction count of the doubled group decides (see extend_double).  With
+    explicit (eta, b) the pair is checked and the doubled arc returned; with
+    none given, all pairs are scanned and the first valid one used.  Returns
     (arc, eta, b), or None when the scan finds no valid pair.
     """
     if spec.r % 2 != 0:
@@ -190,26 +187,27 @@ def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = Non
     def pair_of(e, bb):
         return (e, exp[log[bb] + log[exp[2 * log[e]]]])  # (eta, b * eta^2)
 
-    def valid(e, bb):
-        return (
-            e not in half
-            and bb in half
-            and bb != 1
-            and _distinct_slopes(spec, group.basis + (pair_of(e, bb),))
-        )
+    def doubled(e, bb):
+        """The doubled group when (e, bb) passes, else None."""
+        if e in half or bb not in half or bb == 1:
+            return None
+        g = subgroup_make(spec, group.basis + (pair_of(e, bb),))
+        return g if is_translation_arc_group(g) else None
 
     if eta is not None or b is not None:
         if eta is None or b is None:
             raise ArcError("give both eta and b, or neither")
         spec.check(eta, b)
-        if not valid(eta, b):
+        g = doubled(eta, b)
+        if g is None:
             raise ArcError(f"(eta={eta}, b={b}) fails the secant-avoidance check")
-        return translation_arc(extend_double(group, pair_of(eta, b))), eta, b
+        return translation_arc(g), eta, b
 
     for e in spec.elements():
         for bb in sorted(half):
-            if valid(e, bb):
-                return translation_arc(extend_double(group, pair_of(e, bb))), e, bb
+            g = doubled(e, bb)
+            if g is not None:
+                return translation_arc(g), e, bb
     return None
 
 
@@ -236,17 +234,19 @@ def secants(arc: Arc) -> tuple[Line, ...]:
     )
 
 
+def _directions(group: AdditiveSubgroup) -> set[int]:
+    """The directions a/b of the nonzero (a, b) in G, whose sorted elements
+    start at (0, 0), with q standing for b = 0."""
+    spec = group.spec
+    q, exp, log = spec.q, spec.exp, spec.log
+    return {exp[log[a] + q - 1 - log[b]] if b else q for a, b in group.elements[1:]}
+
+
 def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
     """Points at infinity met by the secants of the orbit arc: (a/b, 1, 0),
-    or (1, 0, 0) when b = 0, for each nonzero (a, b) in G, whose sorted
-    elements start at (0, 0)."""
-    spec = group.spec
-    exp, log, shift = spec.exp, spec.log, spec.q - 1
-    dirs = {
-        (exp[log[a] + shift - log[b]], 1, 0) if b else (1, 0, 0)
-        for a, b in group.elements[1:]
-    }
-    return tuple(sorted(dirs))
+    or (1, 0, 0) when b = 0, for each nonzero (a, b) in G."""
+    q = group.spec.q
+    return tuple(sorted((d, 1, 0) if d < q else (1, 0, 0) for d in _directions(group)))
 
 
 def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
@@ -305,7 +305,7 @@ def _secant_point_set(arc: Arc) -> set[Point]:
 def extend_double(group: AdditiveSubgroup, pair: Pair) -> AdditiveSubgroup:
     """Adjoin a pair whose point lies on no secant of the orbit arc of G.
 
-    The slope test on G's basis plus the pair decides: for an arc group G
+    The direction count of the doubled group decides: for an arc group G
     and (a, b) outside G, translating by G shows that the doubled orbit has
     a collinear triple iff (a, b, 1) lies on a secant of G's orbit."""
     spec = group.spec
@@ -313,12 +313,12 @@ def extend_double(group: AdditiveSubgroup, pair: Pair) -> AdditiveSubgroup:
     spec.check(a, b)
     if (a, b) in group:
         raise ArcError(f"pair {pair} already in the subgroup")
-    if not _distinct_slopes(spec, group.basis):
-        raise ArcError("orbit is not an arc: two elements of G share a slope")
-    basis = group.basis + ((a, b),)
-    if not _distinct_slopes(spec, basis):
+    if not is_translation_arc_group(group):
+        raise ArcError("orbit is not an arc: two elements of G share a direction")
+    doubled = subgroup_make(spec, group.basis + ((a, b),))
+    if not is_translation_arc_group(doubled):
         raise ArcError(f"point ({a}, {b}, 1) lies on a secant")
-    return subgroup_make(spec, basis)
+    return doubled
 
 
 def _uncovered(arc: Arc) -> tuple[tuple[Point, ...], list[Point]]:
@@ -416,8 +416,7 @@ def normal_form_q_arc(spec: FieldSpec, alpha: int, beta: int, i: int) -> Arc | N
 
     The left side is F2-linear in (x, y), so the solutions form an additive
     subgroup; they always include (0,0) and (1,1).  Returns the orbit arc
-    when the kernel has dimension r and the slope test accepts its basis,
-    else None.
+    when the kernel has dimension r and is an arc group, else None.
     """
     if gcd(i, spec.r) != 1:
         raise ArcError(f"exponent {i} not coprime to degree {spec.r}")
@@ -425,10 +424,8 @@ def normal_form_q_arc(spec: FieldSpec, alpha: int, beta: int, i: int) -> Arc | N
     basis = _normal_form_kernel(spec, alpha, beta, i)
     if len(basis) != spec.r:
         return None
-    try:
-        return translation_arc(subgroup_make(spec, basis))
-    except ArcError:
-        return None
+    group = subgroup_make(spec, basis)
+    return translation_arc(group) if is_translation_arc_group(group) else None
 
 
 def _normal_form_value(spec, alpha, beta, i, x, y):
@@ -700,42 +697,33 @@ def enumerate_subgroups(spec: FieldSpec, dim: int):
     return _echelon_bases(spec, (dim,), range(spec.q * spec.q))
 
 
-def _distinct_slopes(spec: FieldSpec, basis) -> bool:
-    """Whether the nonzero elements of the span of basis have pairwise
-    distinct slopes b / a, with q standing in for infinity.  The span grows
-    one basis pair at a time, and the test stops at the first repeat."""
-    exp, log = spec.exp, spec.log
-    shift = spec.q - 1
-    elems = [(0, 0)]
-    slopes = set()
-    for va, vb in basis:
-        fresh = [(x ^ va, y ^ vb) for x, y in elems]
-        for u, v in fresh:
-            s = exp[log[v] + shift - log[u]] if u else spec.q
-            if s in slopes:
-                return False
-            slopes.add(s)
-        elems.extend(fresh)
-    return True
-
-
 def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
-    """Orbit is an arc iff the nonzero elements of G have pairwise distinct
-    slopes (translating any collinear triple moves one point to the origin)."""
-    return _distinct_slopes(group.spec, group.basis)
+    """Whether the orbit of G is an arc: its secants meet the line at
+    infinity in |G| - 1 distinct directions.
+
+    Translating a collinear triple of the orbit by one of its points puts
+    that point at the origin, so the orbit has one iff two nonzero g, g' in
+    G lie on one line through the origin, that is, iff their directions
+    (a : b : 0) agree.  That is the classical slope test too: the slope
+    b/a, with infinity for a = 0, and the direction a/b, with q for b = 0,
+    are both the projective point (a : b), one the reciprocal of the other
+    with 0 and infinity swapped, so slopes repeat exactly when directions
+    do."""
+    return len(_directions(group)) == group.order - 1
 
 
 def enumerate_arc_subgroups(spec: FieldSpec, dims):
     """Exhaustively enumerate the subgroups of the given dimensions whose
     orbit is an arc, yielding basis tuples: the bases of enumerate_subgroups
-    that pass the slope test, in the same order.  The slope test depends
-    only on the span, so _echelon_bases keyed by slope drops every basis
-    whose first chosen vectors already span a repeated slope."""
+    that pass is_translation_arc_group, in the same order.  That test
+    depends only on the span, so _echelon_bases keyed by direction drops
+    every basis whose first chosen vectors already span a repeated
+    direction."""
     if spec.r > 8:
         raise ArcError("exhaustive sweeps are supported for r <= 8")
     r, q = spec.r, spec.q
     exp, log = spec.exp, spec.log
-    # slope b / a of the element a + b*2^r, with q for infinity
-    slope = [exp[log[v >> r] + q - 1 - log[v & (q - 1)]] if v & (q - 1) else q
-             for v in range(q * q)]
-    yield from _echelon_bases(spec, dims, slope)
+    # direction a/b of the element a + b*2^r, with q for b = 0, as in _directions
+    direction = [exp[log[v & (q - 1)] + q - 1 - log[v >> r]] if v >> r else q
+                 for v in range(q * q)]
+    yield from _echelon_bases(spec, dims, direction)

@@ -269,28 +269,27 @@ class _EnumContext:
             for row_b in block_rows
             for row_f in flip_rows
         ]
-        # canonical second factors: minimal in their stabilizer orbit
-        # among matchings disjoint from the identity factor
-        self.reps2 = {
-            m for m in valid2 if all(row[m] >= m for row in self.stab_rows)
-        }
         # Stabilizer element t is bit t of a candidate set.  For each
-        # canonical second factor r, t_eq[r][m] holds the elements sending
-        # matching m to r itself, found by looking r up in the inverse row
-        # of every element, composed as inv_f[inv_b[r]].  beats[r] holds the
-        # matchings that some element sends to a bucket-2 matching y of rank
-        # below r, disjoint from the identity.  The orbit of such a y lies in
-        # the matchings disjoint from the identity, so its least member y'
-        # is in bucket 2 and canonical, with y' <= y < r.  beats[r] is
-        # therefore the union of the orbits of the smaller canonical r', the
-        # matchings m with t_eq[r'][m] nonzero.
+        # canonical second factor r, least in its stabilizer orbit among the
+        # matchings disjoint from the identity, t_eq[r][m] holds the elements
+        # sending matching m to r itself, found by looking r up in the inverse
+        # row of every element, composed as inv_f[inv_b[r]].  beats[r] holds
+        # the matchings that some element sends to a bucket-2 matching y of
+        # rank below r, disjoint from the identity.  The orbit of such a y
+        # lies in the matchings disjoint from the identity, so its least
+        # member y' is in bucket 2 and canonical, with y' <= y < r.  beats[r]
+        # is therefore the union of the orbits of the smaller canonical r',
+        # the matchings m with t_eq[r'][m] nonzero.  So a matching of valid2
+        # is canonical exactly when it is not yet below, walking upward.
         self.inverses = list(
             product(map(_inverse, block_rows), map(_inverse, flip_rows))
         )
         self.t_eq: dict[int, list[int]] = {}
         self.beats: dict[int, set[int]] = {}
         below: set[int] = set()
-        for r in sorted(self.reps2):
+        for r in valid2:  # ascending, as bucket[2] is
+            if r in below:
+                continue
             self.beats[r] = set(below)
             self.t_eq[r] = self.preimages([r])
             below.update(m for m, ts in enumerate(self.t_eq[r]) if ts)
@@ -393,7 +392,7 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
                 [index[_apply_perm(sig_new, matchings[r])] for r in child_ranks]
             )
             if level + 1 == 2:
-                if m not in ctx.reps2:
+                if m not in ctx.t_eq:
                     continue
             elif _smaller_image_exists(ctx, child_ranks, child_per, low3):
                 continue

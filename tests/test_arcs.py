@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from hyperarcs.gf2 import field_make
+from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
 from hyperarcs import arcs
 from hyperarcs.arcs import (
@@ -117,6 +117,18 @@ def test_frobenius_arc_gcd_violation():
 def test_arc_rejects_collinear_points():
     with pytest.raises(ArcError):
         Arc(GF4, ((0, 0, 1), (1, 0, 1), (2, 0, 1)))
+
+
+def test_arc_refuses_out_of_field_coordinates():
+    with pytest.raises(FieldError):
+        Arc(GF4, [(5, 0, 1), (0, 1, 1), (1, 0, 1)])
+
+
+def test_arc_normalizes_its_points():
+    # (3, 3, 3) is (1, 1, 1) over GF(4): the frame, listed unnormalized
+    arc = Arc(GF4, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (3, 3, 3)])
+    assert arc.points == ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+    assert (1, 1, 1) in arc
 
 
 def test_arc_json_round_trip():
@@ -691,31 +703,20 @@ def test_split_conic_requires_square_order():
         split_conic_arc(GF8)
 
 
-def test_split_conic_scan_gf16():
-    result = split_conic_arc(GF16)
-    if result is None:
-        # record: no (eta, b) passes the secant-avoidance test at q = 16
-        half = set(GF16.subfield(2))
-        g = conic_subfield_group(GF16, 2)
-        covered = arcs._secant_point_set(translation_arc(g))
-        for e in GF16.elements():
-            for b in sorted(half):
-                if e in half or b == 1:
-                    continue
-                pt = (e, GF16.mul(b, GF16.mul(e, e)), 1)
-                assert pt in covered
-    else:
-        arc, eta, b = result
-        assert len(arc) == 8
-        # half the points on each of the two conics
-        first = {p for p in arc.points if p[1] == GF16.mul(p[0], p[0])}
-        shift = GF16.mul(b ^ 1, GF16.mul(eta, eta))
-        second = {
-            p for p in arc.points if p[1] == GF16.mul(p[0], p[0]) ^ shift
-        }
-        assert len(first) == 4
-        assert len(second) == 4
-        assert first | second == set(arc.points)
+@pytest.mark.parametrize("r", [4, 6, 8, 10])
+def test_split_conic_scan(r):
+    spec = field_make(r)
+    arc, eta, b = split_conic_arc(spec)
+    assert (eta, b) == (2, 0)
+    half = 1 << (r // 2)
+    assert len(arc) == 2 * half
+    # half the points on each of the two conics
+    first = {p for p in arc.points if p[1] == spec.mul(p[0], p[0])}
+    shift = spec.mul(b ^ 1, spec.mul(eta, eta))
+    second = {p for p in arc.points if p[1] == spec.mul(p[0], p[0]) ^ shift}
+    assert len(first) == half
+    assert len(second) == half
+    assert first | second == set(arc.points)
 
 
 def test_split_conic_explicit_pair_validation():
@@ -777,12 +778,38 @@ def test_enumerate_subgroups_matches_counter_loop(r, dim):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_enumerate_arc_subgroups_is_filtered_enumeration(r):
     # the pruned enumeration yields exactly the bases of enumerate_subgroups
-    # that pass the slope test, in the same order
+    # whose spans have pairwise distinct slopes, in the same order
     spec = field_make(r)
     dims = (2, 3, 4)
-    want = [
-        b for d in dims for b in enumerate_subgroups(spec, d) if arcs._distinct_slopes(spec, b)
-    ]
+
+    def mul(a, b):  # shift-and-xor modulo the field polynomial
+        p = 0
+        while b:
+            if b & 1:
+                p ^= a
+            b >>= 1
+            a <<= 1
+            if a >> r:
+                a ^= spec.poly
+        return p
+
+    # slope[x, y] = c with y = c*x, None for x = 0
+    slope = {(x, mul(c, x)): c for x in range(1, spec.q) for c in range(spec.q)}
+    slope.update({(0, y): None for y in range(spec.q)})
+
+    def distinct_slopes(basis):
+        # grows the span a basis pair at a time and stops at a repeat
+        span, seen = [(0, 0)], set()
+        for a, b in basis:
+            fresh = [(x ^ a, y ^ b) for x, y in span]
+            for e in fresh:
+                if slope[e] in seen:
+                    return False
+                seen.add(slope[e])
+            span += fresh
+        return True
+
+    want = [b for d in dims for b in enumerate_subgroups(spec, d) if distinct_slopes(b)]
     assert list(arcs.enumerate_arc_subgroups(spec, dims)) == want
 
 

@@ -255,14 +255,18 @@ def test_stab_rows_relabel_only_generators(monkeypatch, n):
 def test_second_rank_filter_matches_row_scan(n):
     # beats[r]: the matchings some stabilizer element sends to a bucket-2
     # matching y < r disjoint from the identity; bit t of t_eq[r][m]: element
-    # t sends m to r itself.  Both scanned here row by row.
+    # t sends m to r itself, for each canonical second factor r, a bucket-2
+    # matching disjoint from the identity that no row sends below itself.
+    # All three scanned here row by row.
     ctx = _context(n)
-    beats = {r: set() for r in ctx.reps2}
-    t_eq = {r: [0] * len(ctx.matchings) for r in ctx.reps2}
+    valid2 = [m for m in ctx.bucket[2] if not ctx.masks[m] & ctx.masks[0]]
+    reps2 = [m for m in valid2 if all(row[m] >= m for row in ctx.stab_rows)]
+    beats = {r: set() for r in reps2}
+    t_eq = {r: [0] * len(ctx.matchings) for r in reps2}
     for t, row in enumerate(ctx.stab_rows):
         for m, y in enumerate(row):
-            if y in ctx.bucket[2] and not ctx.masks[y] & ctx.masks[0]:
-                for r in ctx.reps2:
+            if y in valid2:
+                for r in reps2:
                     if y < r:
                         beats[r].add(m)
                     elif y == r:
