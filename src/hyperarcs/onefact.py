@@ -5,11 +5,10 @@ Two are isomorphic when a vertex relabeling maps one factor set onto the
 other.  Enumeration up to isomorphism is by orderly generation: factors are
 added in lexicographic order and a partial object survives only if no
 relabeling yields a lexicographically smaller image, so exactly the minimal
-representative of every class reaches full length.  Only images that can
-beat the sorted ranks are sorted: an image whose second matching ranks
-below the second factor wins outright, so only one that ties there and
-holds a third matching of rank at most the third factor's is compared in
-full.  Enumeration and canonical forms cover K4 to K10.
+representative of every class reaches full length.  Every partial object
+but one lacking only its forced last factor is tested, as that test decides
+nothing, and an image is sorted only when its second and third matchings
+can beat the object's.  Enumeration and canonical forms cover K4 to K10.
 
 The triple-closure machinery lives here too: triangles induce 3-sets of
 factors whose embedded focus points must be collinear, and unioning sets
@@ -177,22 +176,17 @@ def _all_matchings(n2: int) -> list[tuple[int, ...]]:
 
 
 def _apply_perm(perm, matching):
-    out = [0] * len(matching)
-    for v, u in enumerate(matching):
-        out[perm[v]] = perm[u]
-    return tuple(out)
+    """The matching relabeled by perm = (sigma, itemgetter of its inverse):
+    sigma[v] pairs with sigma[matching[v]]."""
+    sigma, inv = perm
+    return itemgetter(*inv(matching))(sigma)
 
 
-def _sigma_onto_identity(matching) -> tuple[int, ...]:
-    """One fixed relabeling sending the matching onto the identity one."""
-    sigma = [0] * len(matching)
-    slot = 0
-    for v in range(len(matching)):
-        if matching[v] > v:
-            sigma[v] = slot
-            sigma[matching[v]] = slot + 1
-            slot += 2
-    return tuple(sigma)
+def _sigma_onto_identity(matching):
+    """One fixed relabeling sending the matching onto the identity one, as
+    _apply_perm takes it; its inverse lists the edges by smaller end."""
+    inv = [x for v, u in enumerate(matching) if u > v for x in (v, u)]
+    return _inverse(inv), itemgetter(*inv)
 
 
 def _inverse(row: list[int]) -> list[int]:
@@ -230,12 +224,14 @@ class _EnumContext:
         # Relabeling by sigma and then by tau has the row
         # itemgetter(*row_sigma)(row_tau), so the row of sigma = B o F gathers
         # row_B through row_F.  Only the n - 1 adjacent block swaps and the
-        # n single flips are relabeled matching by matching; every other
-        # block row is a gather along a breadth-first walk over S_n by
-        # adjacent swaps, and every flip row a chain of single-flip gathers.
-        # The rows are listed blocks outer, flips inner.
+        # n single flips, involutions and so their own inverses, are
+        # relabeled matching by matching; every other block row is a gather
+        # along a breadth-first walk over S_n by adjacent swaps, and every
+        # flip row a chain of single-flip gathers.  The rows are listed
+        # blocks outer, flips inner.
         def row(sigma):
-            return [index[_apply_perm(sigma, m)] for m in matchings]
+            perm = sigma, itemgetter(*sigma)
+            return [index[_apply_perm(perm, m)] for m in matchings]
 
         blocks = tuple(range(n))
         swap_rows = []
@@ -272,8 +268,7 @@ class _EnumContext:
         # Stabilizer element t is bit t of a candidate set.  For each
         # canonical second factor r, least in its stabilizer orbit among the
         # matchings disjoint from the identity, t_eq[r][m] holds the elements
-        # sending matching m to r itself, found by looking r up in the inverse
-        # row of every element, composed as inv_f[inv_b[r]].  beats[r] holds
+        # sending matching m to r itself, preimages([r]).  beats[r] holds
         # the matchings that some element sends to a bucket-2 matching y of
         # rank below r, disjoint from the identity.  The orbit of such a y
         # lies in the matchings disjoint from the identity, so its least
@@ -326,20 +321,14 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor, low3) -> bool:
     identity matching; composing with stabilizer elements covers every
     relabeling whose image could start at rank 0.
 
-    The factors of an image are disjoint, so they pair vertex 0 with
-    distinct partners and lie in distinct buckets; as ranks order buckets,
-    position k of the sorted image holds its bucket-(k+1) matching or a
-    larger one.  ranks[1] lies in bucket 2 and ranks[2] in bucket 3.  Each
-    list holds the identity, so every other image is disjoint from it.
-    Position 1 of an image is therefore below ranks[1] exactly when the
-    image holds a bucket-2 matching of rank below ranks[1], disjoint from
-    the identity: some factor is in beats[ranks[1]], and the answer is True
-    with no sort.  Otherwise an image can beat ranks only by tying at
-    position 1, holding ranks[1] itself (t_eq), and then not losing at
-    position 2, holding a bucket-3 matching of rank at most ranks[2],
-    disjoint from the identity and from ranks[1] (low3, the table of the
-    level-3 prefix, or None at level 3).  Only images meeting both are
-    sorted."""
+    An image's factors are disjoint, so they lie in distinct buckets and
+    position k of its sorted ranks holds its bucket-(k+1) matching or a
+    larger one.  Each list holds the identity, so every other image is
+    disjoint from it.  An image with a factor in beats[ranks[1]] wins at
+    position 1 with no sort.  Any other image can beat ranks only by
+    holding ranks[1] (t_eq) and a bucket-3 matching of rank at most
+    ranks[2] disjoint from the identity and from ranks[1] (low3, the
+    level-3 prefix's table, or None at level 3); only those are sorted."""
     r1 = ranks[1]
     beats = ctx.beats[r1]
     if any(not beats.isdisjoint(mlist) for mlist in per_factor):
@@ -362,7 +351,14 @@ def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor, low3) -> bool:
 def enumerate_factorizations(n: int) -> list[OneFactorization]:
     """Isomorphism-class representatives of the 1-factorizations of K_2n,
     in deterministic canonical order.  Supported from K4 up to
-    MAX_VERTICES vertices, K10 (396 classes)."""
+    MAX_VERTICES vertices, K10 (396 classes).
+
+    Each prefix is tested, at level 2 by t_eq, but one P of n2 - 2
+    factors: its one child F = P + [f] adds the forced last factor (one
+    unused edge per vertex), of the last bucket, and is tested in full.  A
+    relabeling g putting P below sorted(P) puts F below sorted(F) =
+    sorted(P) + [f]: g(P) lies in g(F), so each order statistic of
+    sorted(g(F)) is at most that of sorted(g(P))."""
     if not isinstance(n, int) or not 4 <= 2 * n <= MAX_VERTICES:
         raise FactorizationError(f"n = {n!r} out of supported range 2..{MAX_VERTICES // 2}")
     ctx = _context(n)
@@ -370,7 +366,7 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
     matchings = ctx.matchings
     masks = ctx.masks
     index = ctx.index
-    results: list[tuple[int, ...]] = []
+    results = []
 
     def rec(ranks: list[int], per_factor: list[list[int]], sigmas: list, used: int,
             low3: list[int] | None):
@@ -378,8 +374,9 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
         if level == n2 - 1:
             results.append(tuple(ranks))
             return
+        tested = level + 1 not in (2, n2 - 2)
         for m in ctx.bucket[level + 1]:
-            if masks[m] & used:
+            if masks[m] & used or level == 1 and m not in ctx.t_eq:
                 continue
             pt_new = matchings[m]
             child_ranks = ranks + [m]
@@ -391,16 +388,14 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
             child_per.append(
                 [index[_apply_perm(sig_new, matchings[r])] for r in child_ranks]
             )
-            if level + 1 == 2:
-                if m not in ctx.t_eq:
-                    continue
-            elif _smaller_image_exists(ctx, child_ranks, child_per, low3):
+            if tested and _smaller_image_exists(ctx, child_ranks, child_per, low3):
                 continue
             child_low3 = ctx.bucket3_table(ranks[1], m) if level + 1 == 3 else low3
             rec(child_ranks, child_per, sigmas + [sig_new], used | masks[m], child_low3)
 
     identity = 0
-    rec([identity], [[identity]], [tuple(range(n2))], masks[identity], None)
+    ident = _sigma_onto_identity(matchings[identity])
+    rec([identity], [[identity]], [ident], masks[identity], None)
     return [_ranks_to_factorization(ctx, ranks) for ranks in results]
 
 
@@ -430,8 +425,8 @@ def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
             partner[u - 1], partner[v - 1] = v - 1, u - 1
         mine.append(ctx.index[tuple(partner)])
     best = None
-    for i in range(len(mine)):
-        sig = _sigma_onto_identity(ctx.matchings[mine[i]])
+    for r in mine:
+        sig = _sigma_onto_identity(ctx.matchings[r])
         base = [ctx.index[_apply_perm(sig, ctx.matchings[m])] for m in mine]
         image = itemgetter(*base)
         for row in ctx.stab_rows:

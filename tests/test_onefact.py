@@ -208,15 +208,17 @@ def stabilizer_of_identity(n):
             yield sigma
 
 
+def relabel_oracle(s, m):
+    """The matching m relabeled by s, by definition: s[v] pairs with s[m[v]]."""
+    out = [0] * len(m)
+    for v in range(len(m)):
+        out[s[v]] = s[m[v]]
+    return tuple(out)
+
+
 def stab_row_oracle(ctx, sigma):
     """Relabel every matching by sigma and look up the image's rank."""
-    row = []
-    for m in ctx.matchings:
-        image = [0] * len(m)
-        for v, u in enumerate(m):
-            image[sigma[v]] = sigma[u]
-        row.append(ctx.index[tuple(image)])
-    return row
+    return [ctx.index[relabel_oracle(sigma, m)] for m in ctx.matchings]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -232,6 +234,42 @@ def test_stab_rows_match_direct_relabeling_k10_sample():
     assert len(ctx.stab_rows) == len(sigmas) == 3840
     for t in random.Random(10).sample(range(len(sigmas)), 64):
         assert ctx.stab_rows[t] == stab_row_oracle(ctx, sigmas[t]), t
+
+
+def generator_involutions(n):
+    """The adjacent block swaps and single flips of the identity's
+    stabilizer, from which _EnumContext gathers every other row."""
+    for j in range(n - 1):
+        yield [v + 2 if v >> 1 == j else v - 2 if v >> 1 == j + 1 else v
+               for v in range(2 * n)]
+    for i in range(n):
+        yield [v ^ 1 if v >> 1 == i else v for v in range(2 * n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_perm_is_the_relabeling(n):
+    # the gather matches the loop definition on random relabelings, the
+    # maps onto the identity, and the generator involutions
+    ctx = _context(n)
+    rng = random.Random(n)
+    ms = rng.sample(ctx.matchings, min(len(ctx.matchings), 40))
+    sigmas = []
+    for _ in range(8):
+        s = list(range(2 * n))
+        rng.shuffle(s)
+        sigmas.append(s)
+    sigmas += generator_involutions(n)
+    for s in sigmas:
+        inv = sorted(range(len(s)), key=s.__getitem__)
+        for m in ms:
+            got = onefact._apply_perm((s, itemgetter(*inv)), m)
+            assert got == relabel_oracle(s, m), (s, m)
+    for m in ms:
+        perm = onefact._sigma_onto_identity(m)
+        s = perm[0]
+        assert relabel_oracle(s, m) == ctx.matchings[0]
+        for m2 in ms:
+            assert onefact._apply_perm(perm, m2) == relabel_oracle(s, m2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -356,8 +394,9 @@ def test_image_filters_decide_as_a_brute_scan(monkeypatch, n):
 
 def test_k8_enumeration_image_sort_count(monkeypatch):
     # the full image sorts of the K8 enumeration; with the second-rank filter
-    # alone there are 13,065, so a change losing the third-rank filter, or
-    # sorting where a table answers, fails here
+    # alone there are 13,065, and 7,063 when prefixes of n2 - 2 factors are
+    # tested too, so a change losing the third-rank filter, sorting where a
+    # table answers, or testing a prefix whose test decides nothing fails here
     decide = onefact._smaller_image_exists.__code__
     sorts = 0
 
@@ -369,7 +408,59 @@ def test_k8_enumeration_image_sort_count(monkeypatch):
 
     monkeypatch.setattr(onefact, "sorted", counting, raising=False)
     enumerate_factorizations(4)
-    assert sorts == 7063
+    assert sorts == 5367
+
+
+def prefix_per_factor(ctx, prefix):
+    """For each factor of the prefix, the ranks of all its factors under a
+    relabeling sending that factor onto the identity matching."""
+    per_factor = []
+    for r in prefix:
+        s, _ = onefact._sigma_onto_identity(ctx.matchings[r])
+        per_factor.append(
+            [ctx.index[relabel_oracle(s, ctx.matchings[y])] for y in prefix]
+        )
+    return per_factor
+
+
+def test_prefixes_of_classes_are_canonical(k6_catalog, k8_catalog, k10_catalog):
+    # every prefix of a canonical factorization is canonical, the fact that
+    # lets the enumeration prune a failing prefix; checked on every prefix
+    # of 3 to n2 - 1 factors, so also on those of n2 - 2 factors, which the
+    # enumeration does not test
+    k10, _ = k10_catalog
+    sample = random.Random(23).sample(k10, 16)
+    for facts in (k6_catalog, k8_catalog, sample):
+        ctx = _context(facts[0].n_vertices // 2)
+        for fact in facts:
+            ranks = ranks_of(ctx, fact)
+            low3 = ctx.bucket3_table(ranks[1], ranks[2])
+            for k in range(3, ctx.n2):
+                prefix = ranks[:k]
+                per_factor = prefix_per_factor(ctx, prefix)
+                assert not onefact._smaller_image_exists(
+                    ctx, prefix, per_factor, None if k == 3 else low3
+                ), prefix
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumeration_skips_the_test_before_the_forced_factor(monkeypatch, n):
+    # no prefix of n2 - 2 factors is tested, and every class is tested
+    # whole before it is yielded
+    decide = onefact._smaller_image_exists
+    checked = {}
+
+    def recording(ctx, ranks, per_factor, low3):
+        got = decide(ctx, ranks, per_factor, low3)
+        checked[tuple(ranks)] = got
+        return got
+
+    monkeypatch.setattr(onefact, "_smaller_image_exists", recording)
+    facts = enumerate_factorizations(n)
+    ctx = _context(n)
+    assert {len(r) for r in checked} == set(range(3, 2 * n)) - {2 * n - 2}
+    for fact in facts:
+        assert checked[tuple(ranks_of(ctx, fact))] is False
 
 
 # SHA-256 of format_catalog, as stored in perfbench/golden/digests.json:
