@@ -227,7 +227,9 @@ def ghf_eight(
     """The 8-point generalized hyperfocused arc over the quadrangle group.
 
     Valid parameters need lam outside {0, 1} and {a1, a2, a1 + a2} disjoint
-    from {0, 1, lam, lam + 1}, which forces q >= 8.  With parameters omitted
+    from {0, 1, lam, lam + 1}, which forces q >= 16: that set is an additive
+    group of index 2 in F_8, so at q = 8 no triple avoids it (the proof is
+    in classify.ClassificationReport.example_exists).  With parameters omitted
     the first valid triple in scan order is used.  The 7 blockers form a
     subplane of order 2, which is re-checked here.
     """

@@ -182,20 +182,6 @@ def _apply_perm(perm, matching):
     return itemgetter(*inv(matching))(sigma)
 
 
-def _sigma_onto_identity(matching):
-    """One fixed relabeling sending the matching onto the identity one, as
-    _apply_perm takes it; its inverse lists the edges by smaller end."""
-    inv = [x for v, u in enumerate(matching) if u > v for x in (v, u)]
-    return _inverse(inv), itemgetter(*inv)
-
-
-def _inverse(row: list[int]) -> list[int]:
-    inv = [0] * len(row)
-    for x, y in enumerate(row):
-        inv[y] = x
-    return inv
-
-
 class _EnumContext:
     def __init__(self, n: int):
         n2 = 2 * n
@@ -222,22 +208,30 @@ class _EnumContext:
         # order 2^n * n!.  Every element factors as sigma = B o F: F swaps
         # inside some blocks {2i, 2i+1} and B then permutes the n blocks.
         # Relabeling by sigma and then by tau has the row
-        # itemgetter(*row_sigma)(row_tau), so the row of sigma = B o F gathers
-        # row_B through row_F.  Only the n - 1 adjacent block swaps and the
-        # n single flips, involutions and so their own inverses, are
-        # relabeled matching by matching; every other block row is a gather
-        # along a breadth-first walk over S_n by adjacent swaps, and every
-        # flip row a chain of single-flip gathers.  The rows are listed
-        # blocks outer, flips inner.
+        # itemgetter(*row_sigma)(row_tau).  Only the 2n - 1 involutions
+        # s_v = (v v+1) relabel matching by matching; all other rows are
+        # gathers.  The single flips are the s_2i, and the swap of blocks j
+        # and j+1 is s_2j+1 s_2j s_2j+2 s_2j+1.  The other block rows follow
+        # a breadth-first walk over S_n by adjacent swaps, each flip row
+        # chains single flips, and row_B gathered through row_F is B o F's,
+        # blocks outer, flips inner.  onto[r], the row of a relabeling g
+        # sending matching r onto the identity, follows a breadth-first walk
+        # over the matchings from rank 0: g after s_v sends s_v(r) there.
         def row(sigma):
             perm = sigma, itemgetter(*sigma)
             return [index[_apply_perm(perm, m)] for m in matchings]
 
-        blocks = tuple(range(n))
+        verts = tuple(range(n2))
+        adjacent = [
+            row(verts[:v] + (v + 1, v) + verts[v + 2 :]) for v in range(n2 - 1)
+        ]
         swap_rows = []
-        for j in range(n - 1):
-            swapped = blocks[:j] + (j + 1, j) + blocks[j + 2 :]
-            swap_rows.append(row([2 * b + e for b in swapped for e in (0, 1)]))
+        for v in range(1, n2 - 1, 2):
+            swap = adjacent[v]
+            for w in v - 1, v + 1, v:
+                swap = itemgetter(*swap)(adjacent[w])
+            swap_rows.append(swap)
+        blocks = tuple(range(n))
         ident = tuple(range(len(matchings)))
         by_block = {blocks: ident}
         queue = [blocks]
@@ -249,10 +243,7 @@ class _EnumContext:
                     by_block[q] = itemgetter(*swap_row)(by_block[p])
                     queue.append(q)
         block_rows = [by_block[p] for p in permutations(blocks)]
-        single_flips = [
-            row([v ^ 1 if v >> 1 == i else v for v in range(n2)])
-            for i in range(n)
-        ]
+        single_flips = adjacent[::2]
         # product order: flip row k flips block i when bit n-1-i of k is set,
         # and is row k - low gathered through the flip of the lowest set bit
         flip_rows = [ident]
@@ -265,6 +256,19 @@ class _EnumContext:
             for row_b in block_rows
             for row_f in flip_rows
         ]
+        self.onto = onto = [ident] + [None] * (len(ident) - 1)
+        queue = [0]
+        for r in queue:
+            for s in adjacent:
+                if onto[s[r]] is None:
+                    onto[s[r]] = itemgetter(*s)(onto[r])
+                    queue.append(s[r])
+        # flip rows are involutions; block row p's inverse is p^-1's row
+        inv_blocks = [
+            by_block[tuple(map(p.index, blocks))]
+            for p in permutations(blocks)
+        ]
+        self.inverses = list(product(inv_blocks, flip_rows))
         # Stabilizer element t is bit t of a candidate set.  For each
         # canonical second factor r, least in its stabilizer orbit among the
         # matchings disjoint from the identity, t_eq[r][m] holds the elements
@@ -276,9 +280,6 @@ class _EnumContext:
         # is therefore the union of the orbits of the smaller canonical r',
         # the matchings m with t_eq[r'][m] nonzero.  So a matching of valid2
         # is canonical exactly when it is not yet below, walking upward.
-        self.inverses = list(
-            product(map(_inverse, block_rows), map(_inverse, flip_rows))
-        )
         self.t_eq: dict[int, list[int]] = {}
         self.beats: dict[int, set[int]] = {}
         below: set[int] = set()
@@ -316,10 +317,10 @@ def _context(n: int) -> _EnumContext:
 
 def _smaller_image_exists(ctx: _EnumContext, ranks, per_factor, low3) -> bool:
     """True when some relabeling puts the factor set strictly below its own
-    sorted rank sequence.  per_factor holds, for each factor i, the images
-    of all current factors under the fixed map sending factor i onto the
-    identity matching; composing with stabilizer elements covers every
-    relabeling whose image could start at rank 0.
+    sorted rank sequence.  per_factor holds, for each factor i of rank r_i,
+    the images of all current factors under onto[r_i], a map sending factor
+    i onto the identity matching; composing with stabilizer elements covers
+    every relabeling whose image could start at rank 0.
 
     An image's factors are disjoint, so they lie in distinct buckets and
     position k of its sorted ranks holds its bucket-(k+1) matching or a
@@ -353,22 +354,23 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
     in deterministic canonical order.  Supported from K4 up to
     MAX_VERTICES vertices, K10 (396 classes).
 
-    Each prefix is tested, at level 2 by t_eq, but one P of n2 - 2
-    factors: its one child F = P + [f] adds the forced last factor (one
-    unused edge per vertex), of the last bucket, and is tested in full.  A
-    relabeling g putting P below sorted(P) puts F below sorted(F) =
-    sorted(P) + [f]: g(P) lies in g(F), so each order statistic of
-    sorted(g(F)) is at most that of sorted(g(P))."""
+    Factor i's images are taken under onto[r_i]: a child appends
+    onto[r_i][m] and lists the new factor m's under onto[m].  Each prefix
+    is tested, at level 2 by t_eq, but one P of n2 - 2 factors: its one
+    child F = P + [f] adds the forced last factor (one unused edge per
+    vertex), of the last bucket, and is tested in full.  A relabeling g
+    putting P below sorted(P) puts F below sorted(F) = sorted(P) + [f]:
+    g(P) lies in g(F), so each order statistic of sorted(g(F)) is at most
+    that of sorted(g(P))."""
     if not isinstance(n, int) or not 4 <= 2 * n <= MAX_VERTICES:
         raise FactorizationError(f"n = {n!r} out of supported range 2..{MAX_VERTICES // 2}")
     ctx = _context(n)
     n2 = ctx.n2
-    matchings = ctx.matchings
     masks = ctx.masks
-    index = ctx.index
+    onto = ctx.onto
     results = []
 
-    def rec(ranks: list[int], per_factor: list[list[int]], sigmas: list, used: int,
+    def rec(ranks: list[int], per_factor: list[tuple[int, ...]], used: int,
             low3: list[int] | None):
         level = len(ranks)
         if level == n2 - 1:
@@ -378,24 +380,17 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
         for m in ctx.bucket[level + 1]:
             if masks[m] & used or level == 1 and m not in ctx.t_eq:
                 continue
-            pt_new = matchings[m]
             child_ranks = ranks + [m]
-            sig_new = _sigma_onto_identity(pt_new)
             child_per = [
-                mlist + [index[_apply_perm(sig, pt_new)]]
-                for sig, mlist in zip(sigmas, per_factor)
+                mlist + (onto[r][m],) for r, mlist in zip(ranks, per_factor)
             ]
-            child_per.append(
-                [index[_apply_perm(sig_new, matchings[r])] for r in child_ranks]
-            )
+            child_per.append(itemgetter(*child_ranks)(onto[m]))
             if tested and _smaller_image_exists(ctx, child_ranks, child_per, low3):
                 continue
             child_low3 = ctx.bucket3_table(ranks[1], m) if level + 1 == 3 else low3
-            rec(child_ranks, child_per, sigmas + [sig_new], used | masks[m], child_low3)
+            rec(child_ranks, child_per, used | masks[m], child_low3)
 
-    identity = 0
-    ident = _sigma_onto_identity(matchings[identity])
-    rec([identity], [[identity]], [ident], masks[identity], None)
+    rec([0], [(0,)], masks[0], None)
     return [_ranks_to_factorization(ctx, ranks) for ranks in results]
 
 
@@ -426,9 +421,7 @@ def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
         mine.append(ctx.index[tuple(partner)])
     best = None
     for r in mine:
-        sig = _sigma_onto_identity(ctx.matchings[r])
-        base = [ctx.index[_apply_perm(sig, ctx.matchings[m])] for m in mine]
-        image = itemgetter(*base)
+        image = itemgetter(*itemgetter(*mine)(ctx.onto[r]))
         for row in ctx.stab_rows:
             seq = sorted(image(row))
             if best is None or seq < best:
