@@ -16,11 +16,10 @@ that share two members propagates that collinearity.  When the closure
 reaches the full factor set, every embedding of the factorization has all
 focus points on one line.  The closure holds its family as one int bitmap
 over all 2^k subsets of the k factors, from the triangle masks to the
-result, which decodes it into factor sets only when read.  It unites each
-new member with every member it meets in two or more factors by a few
-shifts and masks.  It runs in rounds; depth counts the rounds that add
-members, and each round unites only pairs with a member new in the
-previous round.
+result, which decodes it into factor sets only when read.  It runs in
+rounds; depth counts the rounds that add members, and each round unites
+only pairs with a member new in the previous round, walking those members
+as a trie of their factors.
 
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter, or_
 
 from hyperarcs.gf2 import FieldSpec
@@ -48,7 +47,7 @@ from hyperarcs.projplane import Point
 # embedding search stop at K10, since K12 has 526,915,620 classes.
 MAX_VERTICES = 10
 
-# The closure's limit: its cost grows about 12-fold per two vertices.
+# The closure's limit: its cost grows about 10-fold per two vertices.
 MAX_CLOSURE_VERTICES = 16
 
 
@@ -71,18 +70,21 @@ class OneFactorization:
         n2 = self.n_vertices
         if n2 % 2 or n2 < 4:
             raise FactorizationError(f"vertex count {n2} must be even and >= 4")
-        factors = tuple(
-            tuple(sorted(tuple(sorted(e)) for e in f)) for f in self.factors
-        )
+        # an ordered pair costs the one comparison sorted() would make
+        factors = tuple([tuple(sorted([
+            e if type(e) is tuple and len(e) == 2 and not e[1] < e[0]
+            else tuple(sorted(e))
+            for e in f
+        ])) for f in self.factors])
         object.__setattr__(self, "factors", factors)
         if len(factors) != n2 - 1:
             raise FactorizationError(
                 f"expected {n2 - 1} factors, got {len(factors)}"
             )
+        vertices = list(range(1, n2 + 1))
         seen: set[Edge] = set()
         for f in factors:
-            verts = [v for e in f for v in e]
-            if sorted(verts) != list(range(1, n2 + 1)):
+            if sorted(sum(f, ())) != vertices:
                 raise FactorizationError(f"factor {f} is not a perfect matching")
             for e in f:
                 if e in seen:
@@ -125,7 +127,7 @@ def parse_factorization(text: str) -> OneFactorization:
         factors.append(tuple(edges))
     if not factors or not factors[0]:
         raise FactorizationError("empty factorization")
-    n2 = max(v for f in factors for e in f for v in e)
+    n2 = max(chain.from_iterable(chain.from_iterable(factors)))
     return OneFactorization(n2, tuple(factors))
 
 
@@ -467,21 +469,21 @@ def _factor_table(fact: OneFactorization) -> list[list[int]]:
     return table
 
 
-def _triangle_masks(fact: OneFactorization) -> set[int]:
-    """Each vertex triangle's factor mask: bit i - 1 for factor i of each
-    of its edges."""
+def _triangle_masks(fact: OneFactorization) -> int:
+    """The bitmap (see closure) of each vertex triangle's factor mask: bit
+    i - 1 for factor i of each of its edges."""
     table = _factor_table(fact)
-    return {
-        (1 << table[u][v] | 1 << table[u][w] | 1 << table[v][w]) >> 1
-        for u, v, w in combinations(range(1, fact.n_vertices + 1), 3)
-    }
+    bits = 0
+    for u, v, w in combinations(range(1, fact.n_vertices + 1), 3):
+        bits |= 1 << ((1 << table[u][v] | 1 << table[u][w] | 1 << table[v][w]) >> 1)
+    return bits
 
 
 def triangle_triples(fact: OneFactorization) -> frozenset[frozenset[int]]:
     """For each vertex triangle, the set of the three factors carrying its
     edges.  The factors are distinct automatically: two sides of a triangle
     share a vertex, and a matching holds at most one of them."""
-    return _factor_sets(_triangle_masks(fact))
+    return _factor_sets(_set_bits(_triangle_masks(fact)))
 
 
 def _set_bits(bits: int) -> list[int]:
@@ -505,14 +507,18 @@ def closure(fact: OneFactorization) -> ClosureResult:
     one line.  Supported up to MAX_CLOSURE_VERTICES vertices.
 
     The family is one int over the subset lattice of the k factors: bit m
-    is set when the factor set with mask m is a member.  It starts from
-    the triangle masks and is returned as is.  has[i] holds the bits m
-    whose set contains factor i.  For a member a, with its factors read
-    from a table over all 2^k masks, counting which bits meet a once or
-    more and twice or more masks the family to the members b with
-    |a & b| >= 2; then, for each factor i of a, shifting by 2^i moves
-    every such b lacking i to b | {i}, so the masked family becomes every
-    union a | b at once.
+    is set when the factor set with mask m is a member.  has[i] holds the
+    bits m whose set contains factor i.  For a member a, once and twice
+    hold the bits m with |m & a| >= 1 and >= 2, so family & twice is the
+    members b with |a & b| >= 2; then, for each factor i of a,
+    S_i(u) = (u | u << 2^i) & has[i] moves every such b lacking i to
+    b | {i}, giving every union a | b.
+
+    A round walks the trie of its added members' masks from factor k - 1
+    down, sharing once and twice for the factors fixed above a branch, and
+    applies S_i once, to the union from the branch with factor i: as each
+    S_i distributes over | and the shifts commute, that is the union of
+    every member's own result.
 
     Rounds are semi-naive: a round unites only pairs with a member added
     by the previous round (the triples count as added before round one),
@@ -528,29 +534,24 @@ def closure(fact: OneFactorization) -> ClosureResult:
     lattice = (1 << (1 << k)) - 1
     # blocks of 2^i clear bits then 2^i set bits, from the lowest bit up
     has = [lattice // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
-    factor_bits = [()]  # the factors (0-based) of each mask
-    for i in range(k):
-        factor_bits += [t + (i,) for t in factor_bits]
-    added = _triangle_masks(fact)
-    family = sum(1 << a for a in added)
+
+    def unite(added, i, once, twice):
+        if i < 0:
+            return family & twice
+        h = has[i]
+        with_i = added & h
+        without = added ^ with_i
+        out = unite(without, i - 1, once, twice) if without else 0
+        if with_i:
+            u = unite(with_i, i - 1, once | h, twice | once & h)
+            out |= (u | u << (1 << i)) & h
+        return out
+
+    added = family = _triangle_masks(fact)
     depth = 0
-    while True:
-        unions = 0
-        for a in added:
-            factors = factor_bits[a]
-            once = twice = 0
-            for i in factors:
-                twice |= once & has[i]
-                once |= has[i]
-            u = family & twice
-            for i in factors:
-                u = (u | u << (1 << i)) & has[i]
-            unions |= u
-        new = unions & ~family
-        if not new:
-            break
+    while new := unite(added, k - 1, 0, 0) & ~family:
         family |= new
-        added = _set_bits(new)
+        added = new
         depth += 1
     return ClosureResult(family, k, depth)
 

@@ -120,7 +120,7 @@ def test_a2_k10_closure(k10_catalog):
     assert {res.depth for res in results} == {3}
     sizes = [len(res.family) for res in results]
     assert (sum(sizes), min(sizes), max(sizes)) == (176_261, 404, 466)
-    assert elapsed < 5.0  # about 0.4-0.5 s on a 2-core VM
+    assert elapsed < 5.0  # about 0.2 s on a 2-core VM
     print(f"\nA2 all 396 closures complete, max depth {max_depth}, {elapsed:.1f}s")
 
 

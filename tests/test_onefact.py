@@ -3,8 +3,11 @@ import random
 import sys
 from itertools import combinations, permutations, product
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperarcs.gf2 import field_make
 from hyperarcs import onefact
@@ -107,6 +110,54 @@ def test_catalog_error_names_line():
 def test_catalog_bad_token():
     with pytest.raises(FactorizationError):
         parse_factorization("1-2 3-x|1-3 2-4|1-4 2-3")
+
+
+@pytest.fixture(scope="module")
+def golden_lines():
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    return [
+        line for name in ("k8.txt", "k10.txt")
+        for line in (golden / name).read_text().splitlines()
+    ]
+
+
+MUTATIONS = (
+    "repeat an edge", "drop a token", "vertex out of range",
+    "non-integer token", "drop a factor",
+)
+
+
+def mutate(line, kind, data):
+    """line with one defect of the given kind, drawn from data."""
+    factors = [chunk.split() for chunk in line.split("|")]
+    n2 = len(factors) + 1
+    f = data.draw(st.integers(0, len(factors) - 1))
+    t = data.draw(st.integers(0, len(factors[f]) - 1))
+    u, v = factors[f][t].split("-")
+    if kind == "repeat an edge":
+        g = data.draw(st.integers(0, len(factors) - 1))
+        factors[g].insert(data.draw(st.integers(0, len(factors[g]))), factors[f][t])
+    elif kind == "drop a token":
+        del factors[f][t]
+    elif kind == "vertex out of range":
+        w = data.draw(st.sampled_from([0, n2 + 1, n2 + 2, 10 * n2]))
+        factors[f][t] = data.draw(st.sampled_from([f"{w}-{v}", f"{u}-{w}"]))
+    elif kind == "non-integer token":
+        bad = data.draw(st.sampled_from(["x", "1.5", "0x3", "2e1", "-", "+-"]))
+        factors[f][t] = data.draw(st.sampled_from([f"{bad}-{v}", f"{u}-{bad}", bad]))
+    else:
+        del factors[f]
+    return "|".join(" ".join(chunk) for chunk in factors)
+
+
+@given(data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_parse_catalog_rejects_mutants(golden_lines, data):
+    line = data.draw(st.sampled_from(golden_lines))
+    assert format_catalog(parse_catalog(line)) == line + "\n"
+    mutant = mutate(line, data.draw(st.sampled_from(MUTATIONS)), data)
+    with pytest.raises(FactorizationError, match="^line 1: "):
+        parse_catalog(mutant)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +774,53 @@ def test_closure_gk14_counts_frozen():
     # k = 13, an 8192-bit family; frozen from the all-pairs fixpoint
     res = closure(round_robin(14))
     assert (res.contains_all, res.depth, len(res.family)) == (True, 4, 8100)
+
+
+def test_closure_gk16_counts_frozen():
+    # k = 15, a 32768-bit family; frozen from the closure that united each
+    # new member alone
+    res = closure(round_robin(16))
+    assert (res.contains_all, res.depth, res.members.bit_count()) == (True, 4, 32647)
+
+
+def test_closure_never_decodes(monkeypatch, k10_catalog):
+    k10, _ = k10_catalog
+    facts = k10[::50]
+    expected = [closure(fact) for fact in facts]
+
+    def refuse(bits):
+        raise AssertionError("closure decoded a bitmap")
+
+    monkeypatch.setattr(onefact, "_set_bits", refuse)
+    for fact, want in zip(facts, expected):
+        res = closure(fact)
+        assert (res.members, res.contains_all, res.depth) == (
+            want.members, want.contains_all, want.depth
+        )
+
+
+def renamed_members(members, perm):
+    """The bitmap members with factor i renamed perm[i] in every mask."""
+    out = 0
+    for m in range(members.bit_length()):
+        if members >> m & 1:
+            out |= 1 << sum(1 << p for i, p in enumerate(perm) if m >> i & 1)
+    return out
+
+
+def test_closure_follows_factor_order(k8_catalog, k10_catalog):
+    k10, _ = k10_catalog
+    rng = random.Random(19)
+    for fact in [*k8_catalog, *rng.sample(k10, 12)]:
+        perm = list(range(fact.n_factors))
+        rng.shuffle(perm)
+        factors = [None] * fact.n_factors
+        for i, f in enumerate(fact.factors):
+            factors[perm[i]] = f
+        res = closure(fact)
+        moved = closure(OneFactorization(fact.n_vertices, tuple(factors)))
+        assert moved.members == renamed_members(res.members, perm)
+        assert (moved.contains_all, moved.depth) == (res.contains_all, res.depth)
 
 
 def test_factor_table_matches_factor_of_edge(k8_catalog, k10_catalog):
