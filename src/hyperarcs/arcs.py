@@ -16,10 +16,10 @@ procedure that yields arcs contained in no hyperoval and no proper subplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from hyperarcs._record import Record
 from hyperarcs.gf2 import FieldSpec, field_from_json, field_make
 from hyperarcs import projplane as pp
 from hyperarcs.projplane import (
@@ -52,13 +52,18 @@ class CollinearError(ArcError):
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class AdditiveSubgroup:
+class AdditiveSubgroup(Record):
     """An F2-subspace of F_q x F_q, presented by a basis of pairs."""
 
-    spec: FieldSpec
-    basis: tuple[Pair, ...]
-    elements: tuple[Pair, ...]
+    __slots__ = ("spec", "basis", "elements")
+
+    def __init__(self, spec: FieldSpec, basis: tuple[Pair, ...], elements: tuple[Pair, ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "elements", elements)
+
+    def _key(self) -> tuple:
+        return self.spec, self.basis, self.elements
 
     @property
     def order(self) -> int:
@@ -80,19 +85,21 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     return AdditiveSubgroup(spec, basis, tuple(sorted(elements)))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """A set of points, no three collinear, kept in canonical sorted order."""
 
-    spec: FieldSpec
-    points: tuple[Point, ...]
+    __slots__ = ("spec", "points")
 
-    def __post_init__(self):
-        pts = tuple(sorted({pp.normalize(self.spec, p) for p in self.points}))
+    def __init__(self, spec: FieldSpec, points: tuple[Point, ...]):
+        pts = tuple(sorted({pp.normalize(spec, p) for p in points}))
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "points", pts)
-        witness = _collinear_triple(self.spec, pts)
+        witness = _collinear_triple(spec, pts)
         if witness is not None:
-            raise CollinearError(self.spec, witness)
+            raise CollinearError(spec, witness)
+
+    def _key(self) -> tuple:
+        return self.spec, self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -527,18 +534,23 @@ def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:
 # Completion: arcs in no hyperoval and no proper subplane
 
 
-@dataclass(frozen=True)
 class CompletionReport:
     """Certificate from the doubling-to-completeness procedure."""
 
-    spec: FieldSpec
-    arc: Arc
-    seed_size: int
-    chosen: tuple[Pair, ...]
-    uncovered_empty: bool
-    hyperoval_verdict: str
-    subplane_verdict: str
-    superarc_count: int
+    __slots__ = ("spec", "arc", "seed_size", "chosen", "uncovered_empty",
+                 "hyperoval_verdict", "subplane_verdict", "superarc_count")
+
+    def __init__(self, spec: FieldSpec, arc: Arc, seed_size: int, chosen: tuple[Pair, ...],
+                 uncovered_empty: bool, hyperoval_verdict: str, subplane_verdict: str,
+                 superarc_count: int):
+        self.spec = spec
+        self.arc = arc
+        self.seed_size = seed_size
+        self.chosen = chosen
+        self.uncovered_empty = uncovered_empty
+        self.hyperoval_verdict = hyperoval_verdict
+        self.subplane_verdict = subplane_verdict
+        self.superarc_count = superarc_count
 
     def to_json(self) -> dict:
         return {

@@ -11,9 +11,9 @@ arc: each blocker's secants read off a perfect matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from hyperarcs._record import Record
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
 from hyperarcs.arcs import (
@@ -33,15 +33,17 @@ class BlockingError(ValueError):
     """A point set that violates a blocking-set contract."""
 
 
-@dataclass(frozen=True)
-class BlockingSet:
+class BlockingSet(Record):
     """External points meeting every secant of a fixed arc."""
 
-    spec: FieldSpec
-    points: tuple[Point, ...]
+    __slots__ = ("spec", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(set(self.points))))
+    def __init__(self, spec: FieldSpec, points: tuple[Point, ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "points", tuple(sorted(set(points))))
+
+    def _key(self) -> tuple:
+        return self.spec, self.points
 
     def __len__(self) -> int:
         return len(self.points)

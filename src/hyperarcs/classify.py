@@ -14,8 +14,6 @@ canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
 from hyperarcs.blocking import ArcClasses, is_doubled_quadrangle
@@ -29,18 +27,23 @@ from hyperarcs.onefact import (
 )
 
 
-@dataclass(frozen=True)
 class ClassRow:
     """Per-factorization-class findings."""
 
-    k: int
-    index: int
-    contains_all: bool
-    closure_depth: int
-    embeddings: int
-    nonlinear_embeddings: int
-    exhausted: bool
-    nonlinear_arc_forms: tuple
+    __slots__ = ("k", "index", "contains_all", "closure_depth", "embeddings",
+                 "nonlinear_embeddings", "exhausted", "nonlinear_arc_forms")
+
+    def __init__(self, k: int, index: int, contains_all: bool, closure_depth: int,
+                 embeddings: int, nonlinear_embeddings: int, exhausted: bool,
+                 nonlinear_arc_forms: tuple):
+        self.k = k
+        self.index = index
+        self.contains_all = contains_all
+        self.closure_depth = closure_depth
+        self.embeddings = embeddings
+        self.nonlinear_embeddings = nonlinear_embeddings
+        self.exhausted = exhausted
+        self.nonlinear_arc_forms = nonlinear_arc_forms
 
     @property
     def searched(self) -> bool:
@@ -49,11 +52,13 @@ class ClassRow:
         return not self.contains_all
 
 
-@dataclass(frozen=True)
 class ClassificationReport:
-    spec: FieldSpec
-    max_k: int
-    rows: tuple[ClassRow, ...]
+    __slots__ = ("spec", "max_k", "rows")
+
+    def __init__(self, spec: FieldSpec, max_k: int, rows: tuple[ClassRow, ...]):
+        self.spec = spec
+        self.max_k = max_k
+        self.rows = rows
 
     @property
     def nonlinear_forms(self) -> tuple:  # (k, canonical form) pairs, deduplicated

@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
 
 from hyperarcs import projplane as pp
 from hyperarcs.arcs import (
@@ -46,15 +45,23 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunReport:
-    command: list[str]
-    field: dict | None = None
-    inputs: dict = dc_field(default_factory=dict)
-    verdicts: dict = dc_field(default_factory=dict)
-    witnesses: dict = dc_field(default_factory=dict)
-    results: dict = dc_field(default_factory=dict)
-    duration_s: float = 0.0
+    """What a subcommand did; every value is JSON-ready."""
+
+    __slots__ = ("command", "field", "inputs", "verdicts", "witnesses", "results",
+                 "duration_s")
+
+    def __init__(self, command: list[str]):
+        self.command = command
+        self.field = None
+        self.inputs = {}
+        self.verdicts = {}
+        self.witnesses = {}
+        self.results = {}
+        self.duration_s = 0.0
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _parse_field_value(text: str) -> int:
@@ -401,7 +408,7 @@ def _emit(report: RunReport, args) -> None:
     if args.format == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:

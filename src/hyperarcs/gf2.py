@@ -23,7 +23,7 @@ already validated its inputs indexes ``spec.exp`` and ``spec.log`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from hyperarcs._record import Record
 
 
 class FieldError(ValueError):
@@ -124,37 +124,38 @@ def _check_int(what: str, v) -> None:
         raise FieldError(f"{what} {v!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """GF(2^r) described by its degree and reduction polynomial.
 
     ``q`` is 2^r and ``exp``/``log`` are the shared tables; equality, hashing
     and repr depend on (r, poly) only."""
 
-    r: int
-    poly: int
-    q: int = field(init=False, compare=False, repr=False)
-    exp: list[int] = field(init=False, compare=False, repr=False)
-    log: list[int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("r", "poly", "q", "exp", "log")
 
-    def __post_init__(self):
-        _check_int("degree", self.r)
-        _check_int("polynomial", self.poly)
-        if not 1 <= self.r <= MAX_DEGREE:
-            raise FieldError(f"degree {self.r} out of range 1..{MAX_DEGREE}")
-        if _poly_degree(self.poly) != self.r:
-            raise FieldError(
-                f"polynomial 0x{self.poly:x} is not monic of degree {self.r}"
-            )
-        key = (self.r, self.poly)
+    def __init__(self, r: int, poly: int):
+        _check_int("degree", r)
+        _check_int("polynomial", poly)
+        if not 1 <= r <= MAX_DEGREE:
+            raise FieldError(f"degree {r} out of range 1..{MAX_DEGREE}")
+        if _poly_degree(poly) != r:
+            raise FieldError(f"polynomial 0x{poly:x} is not monic of degree {r}")
+        key = (r, poly)
         tables = _TABLES.get(key)
         if tables is None:
-            if not is_irreducible(self.poly):
-                raise FieldError(f"polynomial 0x{self.poly:x} is reducible over GF(2)")
-            tables = _TABLES[key] = _build_tables(self.r, self.poly)
-        object.__setattr__(self, "q", 1 << self.r)
+            if not is_irreducible(poly):
+                raise FieldError(f"polynomial 0x{poly:x} is reducible over GF(2)")
+            tables = _TABLES[key] = _build_tables(r, poly)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "q", 1 << r)
         object.__setattr__(self, "exp", tables[0])
         object.__setattr__(self, "log", tables[1])
+
+    def _key(self) -> tuple:
+        return self.r, self.poly
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(r={self.r}, poly={self.poly})"
 
     def check(self, *values: int) -> None:
         for v in values:

@@ -33,11 +33,11 @@ line to force the focus, or, by the choice of candidates, through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter, or_
 
+from hyperarcs._record import Record
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs import projplane as pp
 from hyperarcs.projplane import Point
@@ -59,37 +59,62 @@ Edge = tuple[int, int]
 Factor = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """Factors over vertex set {1..n_vertices}, each a perfect matching."""
+class OneFactorization(Record):
+    """Factors over vertex set {1..n_vertices}, each a perfect matching.
 
-    n_vertices: int
-    factors: tuple[Factor, ...]
+    An edge is any pair of int vertices; it is stored as a tuple (u, v)
+    with u < v, and each factor as a sorted tuple of edges."""
 
-    def __post_init__(self):
-        n2 = self.n_vertices
+    __slots__ = ("n_vertices", "factors")
+
+    def __init__(self, n_vertices: int, factors):
+        ordered = []
+        for f in factors:
+            edges = []
+            for e in f:
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    u = None
+                # bool and float vertices are refused, though they compare as ints
+                if type(u) is not int or type(v) is not int:
+                    raise FactorizationError(f"edge {e!r} is not a pair of int vertices")
+                edges.append((u, v) if u < v else (v, u))
+            ordered.append(edges)
+        self._init_ordered(n_vertices, ordered)
+
+    @classmethod
+    def _of_ordered(cls, n2: int, factors) -> OneFactorization:
+        """The factorization whose edges are int tuples (u, v) with u < v."""
+        fact = object.__new__(cls)
+        fact._init_ordered(n2, factors)
+        return fact
+
+    def _init_ordered(self, n2: int, factors) -> None:
+        """Set the fields from factors of int edges (u, v) with u < v, once
+        each factor is a perfect matching of 1..n2 and no edge repeats."""
         if n2 % 2 or n2 < 4:
             raise FactorizationError(f"vertex count {n2} must be even and >= 4")
-        # an ordered pair costs the one comparison sorted() would make
-        factors = tuple([tuple(sorted([
-            e if type(e) is tuple and len(e) == 2 and not e[1] < e[0]
-            else tuple(sorted(e))
-            for e in f
-        ])) for f in self.factors])
-        object.__setattr__(self, "factors", factors)
         if len(factors) != n2 - 1:
-            raise FactorizationError(
-                f"expected {n2 - 1} factors, got {len(factors)}"
-            )
-        vertices = list(range(1, n2 + 1))
-        seen: set[Edge] = set()
+            raise FactorizationError(f"expected {n2 - 1} factors, got {len(factors)}")
+        vertices = set(range(1, n2 + 1))
+        out = []
         for f in factors:
-            if sorted(sum(f, ())) != vertices:
+            f = tuple(sorted(f))
+            if len(f) * 2 != n2 or set(sum(f, ())) != vertices:
                 raise FactorizationError(f"factor {f} is not a perfect matching")
-            for e in f:
+            out.append(f)
+        if len(set(chain.from_iterable(out))) * 2 != n2 * (n2 - 1):
+            seen: set[Edge] = set()
+            for e in chain.from_iterable(out):
                 if e in seen:
                     raise FactorizationError(f"edge {e} appears twice")
                 seen.add(e)
+        object.__setattr__(self, "n_vertices", n2)
+        object.__setattr__(self, "factors", tuple(out))
+
+    def _key(self) -> tuple:
+        return self.n_vertices, self.factors
 
     @property
     def n_factors(self) -> int:
@@ -105,8 +130,14 @@ class OneFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Catalog text format: "1-2 3-4 5-6|1-3 2-5 4-6|..." one factorization per
-# line, edges sorted inside factors, factors sorted by smallest edge.
+# Catalog text format: one factorization per line, factors separated by "|",
+# edges inside a factor by single spaces, each edge "u-v" with u != v plain
+# decimals in 1..n2 (no sign, leading zero, "_" or non-ASCII digit), so
+# "1-2 3-4 5-6|1-3 2-5 4-6|...", where n2 is one more than the factor count.
+# The parser looks every token up in a table of the n2(n2 - 1) spellings of
+# edges, so it rejects any other.  format_factorization writes u < v, edges
+# sorted inside factors and factors sorted by smallest edge; the parser takes
+# any order.
 
 
 def format_factorization(fact: OneFactorization) -> str:
@@ -114,21 +145,42 @@ def format_factorization(fact: OneFactorization) -> str:
     return "|".join(" ".join(f"{u}-{v}" for u, v in f) for f in factors)
 
 
-def parse_factorization(text: str) -> OneFactorization:
-    factors = []
-    for chunk in text.strip().split("|"):
-        edges = []
-        for token in chunk.split():
-            try:
-                u, v = token.split("-")
-                edges.append((int(u), int(v)))
-            except ValueError as exc:
-                raise FactorizationError(f"bad edge token {token!r}") from exc
-        factors.append(tuple(edges))
-    if not factors or not factors[0]:
+def _edge_tokens(n2: int) -> dict[str, Edge]:
+    """Each token "u-v" with u != v in 1..n2, to its edge."""
+    table = {}
+    for u, v in combinations(range(1, n2 + 1), 2):
+        table[f"{u}-{v}"] = table[f"{v}-{u}"] = (u, v)
+    return table
+
+
+def _parse_factorization(text: str, tables: dict[int, dict[str, Edge]]) -> OneFactorization:
+    """parse_factorization; tables holds the edge-token tables built so far,
+    by n2, for the other lines of a catalog."""
+    text = text.strip()
+    if not text:
         raise FactorizationError("empty factorization")
-    n2 = max(chain.from_iterable(chain.from_iterable(factors)))
-    return OneFactorization(n2, tuple(factors))
+    factors = [chunk.split(" ") for chunk in text.split("|")]
+    n2 = len(factors) + 1
+    if n2 % 2:
+        raise FactorizationError(f"{n2 - 1} factors: a 1-factorization has an odd number")
+    # so the table below has no more entries than twice the line's tokens
+    for i, tokens in enumerate(factors, start=1):
+        if len(tokens) * 2 != n2:
+            raise FactorizationError(f"factor {i}: {len(tokens)} edge tokens, expected {n2 // 2}")
+    table = tables.get(n2)
+    if table is None:
+        table = tables[n2] = _edge_tokens(n2)
+    try:
+        edges = [tuple(map(table.__getitem__, tokens)) for tokens in factors]
+    except KeyError as exc:
+        raise FactorizationError(f"bad edge token {exc.args[0]!r}") from None
+    return OneFactorization._of_ordered(n2, edges)
+
+
+def parse_factorization(text: str) -> OneFactorization:
+    """The factorization one catalog line spells; FactorizationError for
+    any other text."""
+    return _parse_factorization(text, {})
 
 
 def format_catalog(facts) -> str:
@@ -137,11 +189,12 @@ def format_catalog(facts) -> str:
 
 def parse_catalog(text: str) -> list[OneFactorization]:
     out = []
+    tables: dict[int, dict[str, Edge]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append(parse_factorization(line))
+            out.append(_parse_factorization(line, tables))
         except FactorizationError as exc:
             raise FactorizationError(f"line {lineno}: {exc}") from exc
     return out
@@ -397,13 +450,9 @@ def enumerate_factorizations(n: int) -> list[OneFactorization]:
 
 
 def _ranks_to_factorization(ctx: _EnumContext, ranks) -> OneFactorization:
-    factors = []
-    for r in ranks:
-        m = ctx.matchings[r]
-        factors.append(
-            tuple(sorted((v + 1, u + 1) for v, u in enumerate(m) if u > v))
-        )
-    return OneFactorization(ctx.n2, tuple(factors))
+    return OneFactorization._of_ordered(ctx.n2, [
+        [(v + 1, u + 1) for v, u in enumerate(ctx.matchings[r]) if u > v] for r in ranks
+    ])
 
 
 def canonical_form(fact: OneFactorization) -> tuple[Factor, ...]:
@@ -441,13 +490,15 @@ def isomorphic(a: OneFactorization, b: OneFactorization) -> bool:
 # Triangle triples and the collinearity closure
 
 
-@dataclass(frozen=True)
 class ClosureResult:
     """family decodes the bitmap members (see closure) on first read."""
 
-    members: int
-    k: int
-    depth: int
+    __slots__ = ("members", "k", "depth", "__dict__")
+
+    def __init__(self, members: int, k: int, depth: int):
+        self.members = members
+        self.k = k
+        self.depth = depth
 
     @property
     def contains_all(self) -> bool:
@@ -576,15 +627,21 @@ def closure_survey(facts) -> list[dict]:
 # Embeddings into PG(2,q)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Vertex images (an arc) and factor images (focus points), 1-based
     indices shifted down by one."""
 
-    spec: FieldSpec
-    fact: OneFactorization
-    vertices: tuple[Point, ...]
-    foci: tuple[Point, ...]
+    __slots__ = ("spec", "fact", "vertices", "foci")
+
+    def __init__(self, spec: FieldSpec, fact: OneFactorization,
+                 vertices: tuple[Point, ...], foci: tuple[Point, ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "fact", fact)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "foci", foci)
+
+    def _key(self) -> tuple:
+        return self.spec, self.fact, self.vertices, self.foci
 
     def validate(self) -> None:
         spec = self.spec

@@ -165,6 +165,18 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["results"]["q"] == 8
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost every run of the command line their import time
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, hyperarcs.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # arc
 
@@ -398,6 +410,17 @@ def test_onefact_bad_catalog_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "onefact", "closure", "--catalog", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+# int() reads each as the canonical K4 line 1-2 3-4|1-3 2-4|1-4 2-3
+@pytest.mark.parametrize("line", ["1-2 3-4|1-3 2-4|1-4 2-+3", "1-2\t3-4|1-3 2-4|1-4 2-3"])
+def test_onefact_non_decimal_catalog_is_usage_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"1-2 3-4|1-3 2-4|1-4 2-3\n{line}\n")
+    code, out, err = run(capsys, "onefact", "closure", "--catalog", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 2: " in err
 
 
 @pytest.mark.parametrize(

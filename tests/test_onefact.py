@@ -75,6 +75,21 @@ def test_factor_validation():
         OneFactorization(6, not_matching)
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [
+        ((1,), (2, 3, 4)),  # the two cover the four vertices between them
+        ((1.0, 2), (3, 4)),
+        ((True, 2), (3, 4)),
+        (12, (3, 4)),
+        ("12", (3, 4)),
+    ],
+)
+def test_edges_must_be_int_pairs(factor):
+    with pytest.raises(FactorizationError, match="is not a pair of int vertices"):
+        OneFactorization(4, (factor, ((1, 3), (2, 4)), ((1, 4), (2, 3))))
+
+
 def test_edges_normalized_sorted():
     f = OneFactorization(4, (((2, 1), (4, 3)), ((3, 1), (4, 2)), ((4, 1), (3, 2))))
     assert f.factors[0] == ((1, 2), (3, 4))
@@ -123,8 +138,9 @@ def golden_lines():
 
 MUTATIONS = (
     "repeat an edge", "drop a token", "vertex out of range",
-    "non-integer token", "drop a factor",
+    "non-integer token", "drop a factor", "non-decimal spelling",
 )
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 def mutate(line, kind, data):
@@ -145,6 +161,15 @@ def mutate(line, kind, data):
     elif kind == "non-integer token":
         bad = data.draw(st.sampled_from(["x", "1.5", "0x3", "2e1", "-", "+-"]))
         factors[f][t] = data.draw(st.sampled_from([f"{bad}-{v}", f"{u}-{bad}", bad]))
+    elif kind == "non-decimal spelling":
+        # int() reads each of these as the vertex u, or the tab as a space
+        w = data.draw(st.sampled_from([f"+{u}", f"0{u}", f"0_{u}", u.translate(ARABIC_INDIC)]))
+        spelled = data.draw(st.sampled_from([f"{w}-{v}", f"{v}-{w}", None]))
+        if spelled is not None:
+            factors[f][t] = spelled
+        else:
+            j = min(t, len(factors[f]) - 2)
+            factors[f][j] += "\t" + factors[f].pop(j + 1)
     else:
         del factors[f]
     return "|".join(" ".join(chunk) for chunk in factors)
