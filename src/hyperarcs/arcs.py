@@ -672,20 +672,21 @@ def _echelon_bases(spec: FieldSpec, dims, key):
     the keys of its nonzero elements are carried down, and a choice whose
     new elements repeat a key is dropped with every basis that would extend
     it: a span that repeats a key stays a subset of every span extending
-    it."""
+    it.  The first vector is tested by one set union, and its basis yielded
+    with no span or key set grown."""
     r, q = spec.r, spec.q
 
     def extend(level, choices, span, keys, tail):
+        size = len(keys) + len(span)
         for v in choices[level]:
-            fresh = [e ^ v for e in span]
-            grown = keys.union([key[e] for e in fresh])
-            if len(grown) != len(keys) + len(fresh):
-                continue
-            basis = ((v & (q - 1), v >> r),) + tail
             if level:
-                yield from extend(level - 1, choices, span + fresh, grown, basis)
-            else:
-                yield basis
+                fresh = [e ^ v for e in span]
+                grown = keys.union([key[e] for e in fresh])
+                if len(grown) == size:
+                    yield from extend(level - 1, choices, span + fresh, grown,
+                                      ((v & (q - 1), v >> r),) + tail)
+            elif len(keys.union([key[e ^ v] for e in span])) == size:
+                yield ((v & (q - 1), v >> r),) + tail
 
     for dim in dims:
         if dim == 0:

@@ -3,10 +3,10 @@
 A k-arc has k(k-1)/2 secants, and an external point covers at most k/2 of
 them, so a blocking set needs at least k - 1 points.  At that minimum the
 counting is rigid: k must be even, every blocker lies on exactly k/2
-secants, and every secant carries exactly one blocker.  That rigidity is
-what the exact-cover search below exploits, and it is also what turns a
-minimum blocking set into a 1-factorization of the complete graph on the
-arc: each blocker's secants read off a perfect matching.
+secants, and every secant carries exactly one blocker.  So each blocker's
+secants read off a perfect matching of the arc, and a minimum blocking set
+is a 1-factorization of the complete graph on the arc; the exact-cover
+search below needs one blocker per secant through one arc point only.
 """
 
 from __future__ import annotations
@@ -83,76 +83,92 @@ def is_blocking(arc: Arc, points) -> bool:
     return covered == (1 << len(lines)) - 1
 
 
+def _blocker_candidates(arc: Arc) -> dict[Point, int]:
+    """The candidates of min_blocking_sets with their secant masks, bit i
+    for the i-th pair of combinations(range(k), 2), on L = p0 x pi in turn:
+    secant ab meets L at a' + b', t' = t / (L.t), named as in
+    is_hyperfocused_line, and a name held by k/2 - 1 pairs is a candidate."""
+    spec = arc.spec
+    exp, log = spec.exp, spec.log
+    shift, infinity = spec.q - 1, spec.q
+    pts = arc.points
+    k = len(pts)
+    logs = [(log[x], log[y], log[z]) for x, y, z in pts]
+    # secant (0, i) has index i - 1; those avoiding p0 follow from k - 1 on
+    rest = list(enumerate(combinations(range(1, k), 2), start=k - 1))
+    found = {}
+    for i in range(1, k):
+        line = pp._cross(exp, log, pts[0], pts[i])
+        j, h = (0, 1) if line[2] else (1, 2) if line[0] else (0, 2)
+        l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
+        scaled = [None] * k
+        for t in range(1, k):
+            if t != i:
+                a0, a1, a2 = logs[t]
+                ld = shift - log[exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]]
+                scaled[t] = (exp[a0 + ld], exp[a1 + ld], exp[a2 + ld])
+        names = {}
+        for idx, (a, b) in rest:
+            if i != a and i != b:
+                sa, sb = scaled[a], scaled[b]
+                w = sa[h] ^ sb[h]
+                name = exp[log[sa[j] ^ sb[j]] + shift - log[w]] if w else infinity
+                names[name] = names.get(name, 1 << (i - 1)) | 1 << idx
+        for mask in names.values():
+            if mask.bit_count() == k // 2:
+                other = mask >> k - 1
+                sa, sb = (scaled[t] for t in rest[(other & -other).bit_length() - 1][1])
+                found[pp._normalize_fast(spec, sa[0] ^ sb[0], sa[1] ^ sb[1], sa[2] ^ sb[2])] = mask
+    return found
+
+
 def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     """All blocking sets of the secants of minimum size k - 1.
 
     Odd k admits none (an external point covers at most (k-1)/2 < k/2
     secants, so k - 1 of them cannot reach k(k-1)/2).  For even k the
-    candidates are the external points on exactly k/2 secants.  These share
-    no arc point, so one joins the first arc point p0 to some pi and the
-    others avoid both.  Meeting each secant through p0 with each secant
-    avoiding its two points finds every candidate with all its secants, in
-    (k-1) C(k-2, 2) meets for any q, none an arc point.  The search is an
-    exact cover of the secants, branching on the secant with fewest
-    remaining candidates.
+    candidates are the external points on exactly k/2 secants, found with
+    the naming argument of is_hyperfocused_line (_blocker_candidates).
+    Their k/2 secants partition the arc, so each lies on exactly one secant
+    through the first arc point p0: a minimum blocking set takes one
+    candidate on each, and k - 1 disjoint ones, one on each, cover
+    (k-1) k/2 = k(k-1)/2 secants, all of them.  So the exact cover branches
+    on the secants through p0, the one with fewest usable candidates first.
     """
     k = len(arc)
     if k < 3:
         raise ArcError("blocking needs at least three arc points")
     if k % 2 == 1:
         return []
-    spec = arc.spec
-    lines = secants(arc)
-    # secant (0, i) has index i - 1; those avoiding p0 follow from k - 1 on
-    rest = list(enumerate(combinations(range(1, k), 2), start=k - 1))
-    masks: dict[Point, int] = {}
-    for i in range(1, k):
-        through, bit = lines[i - 1], 1 << (i - 1)
-        for idx, pair in rest:
-            if i not in pair:
-                x = pp._meet(spec, through, lines[idx])
-                masks[x] = masks.get(x, bit) | 1 << idx
-    candidates = sorted((p, m) for p, m in masks.items() if m.bit_count() == k // 2)
-
-    full = (1 << len(lines)) - 1
-    by_secant: list[list[int]] = [[] for _ in lines]
-    for ci, (_, mask) in enumerate(candidates):
-        m = mask
-        while m:
-            low = m & -m
-            by_secant[low.bit_length() - 1].append(ci)
-            m ^= low
-
-    solutions: list[tuple[Point, ...]] = []
-    chosen: list[int] = []
+    masks = _blocker_candidates(arc)
+    # the candidates on each secant through p0, whose bit is their lowest
+    through = [[] for _ in range(k - 1)]
+    for p, m in masks.items():
+        through[(m & -m).bit_length() - 1].append((p, m))
+    pending = (1 << (k - 1)) - 1
+    solutions, chosen = [], []
 
     def search(covered: int):
-        if covered == full:
-            solutions.append(tuple(candidates[ci][0] for ci in chosen))
+        rem = pending & ~covered
+        if not rem:
+            solutions.append(tuple(chosen))
             return
-        # branch on the uncovered secant with fewest usable candidates
-        best_list = None
-        rem = full & ~covered
+        best = None
         while rem:
             low = rem & -rem
-            idx = low.bit_length() - 1
             rem ^= low
-            usable = [
-                ci
-                for ci in by_secant[idx]
-                if not candidates[ci][1] & covered
-            ]
-            if best_list is None or len(usable) < len(best_list):
-                best_list = usable
+            usable = [(p, m) for p, m in through[low.bit_length() - 1] if not m & covered]
+            if best is None or len(usable) < len(best):
+                best = usable
                 if len(usable) < 2:  # none fails the branch; one cannot be beaten
                     break
-        for ci in best_list:
-            chosen.append(ci)
-            search(covered | candidates[ci][1])
+        for p, m in best:
+            chosen.append(p)
+            search(covered | m)
             chosen.pop()
 
     search(0)
-    out = [BlockingSet(spec, pts) for pts in solutions]
+    out = [BlockingSet(arc.spec, pts) for pts in solutions]
     out.sort(key=lambda b: b.points)
     for b in out:
         _assert_minimum_counting(b, masks, k)

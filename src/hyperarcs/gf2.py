@@ -225,11 +225,22 @@ def field_make(r: int, poly: int | None = None) -> FieldSpec:
     return FieldSpec(r, poly)
 
 
+def parse_hex(text: str) -> int:
+    """The value of a base-16 spelling in a JSON file: ASCII hex digits
+    after an optional 0x or 0X.  ValueError for anything else, including
+    the signs, spaces, underscores and non-ASCII digits int(text, 16)
+    reads."""
+    digits = text[2:] if text[:2] in ("0x", "0X") else text
+    if not digits or digits.strip("0123456789abcdefABCDEF"):
+        raise ValueError(f"{text!r} is not a base-16 spelling")
+    return int(digits, 16)
+
+
 def field_from_json(obj: dict) -> FieldSpec:
     try:
         r = obj["r"]
         poly = obj.get("poly")
-        poly = int(poly, 16) if isinstance(poly, str) else poly
+        poly = parse_hex(poly) if isinstance(poly, str) else poly
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldError(f"malformed field description: {obj!r}") from exc
     return field_make(r, poly)

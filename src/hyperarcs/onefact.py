@@ -68,19 +68,25 @@ class OneFactorization(Record):
     __slots__ = ("n_vertices", "factors")
 
     def __init__(self, n_vertices: int, factors):
+        # bool, float and str counts and vertices are refused, though some
+        # compare as ints
+        if type(n_vertices) is not int:
+            raise FactorizationError(f"vertex count {n_vertices!r} is not an int")
         ordered = []
-        for f in factors:
-            edges = []
-            for e in f:
-                try:
-                    u, v = e
-                except (TypeError, ValueError):
-                    u = None
-                # bool and float vertices are refused, though they compare as ints
-                if type(u) is not int or type(v) is not int:
-                    raise FactorizationError(f"edge {e!r} is not a pair of int vertices")
-                edges.append((u, v) if u < v else (v, u))
-            ordered.append(edges)
+        try:
+            for f in factors:
+                edges = []
+                for e in f:
+                    try:
+                        u, v = e
+                    except (TypeError, ValueError):
+                        u = None
+                    if type(u) is not int or type(v) is not int:
+                        raise FactorizationError(f"edge {e!r} is not a pair of int vertices")
+                    edges.append((u, v) if u < v else (v, u))
+                ordered.append(edges)
+        except TypeError:
+            raise FactorizationError(f"factors {factors!r} are not collections of edges") from None
         self._init_ordered(n_vertices, ordered)
 
     @classmethod

@@ -10,7 +10,7 @@ so tuple equality is equality in PGL(3,q).
 
 from __future__ import annotations
 
-from hyperarcs.gf2 import FieldSpec
+from hyperarcs.gf2 import FieldSpec, parse_hex
 
 Point = tuple[int, int, int]
 Line = tuple[int, int, int]
@@ -375,7 +375,7 @@ def point_from_json(spec: FieldSpec, obj) -> Point:
         if type(v) not in (str, int):
             raise GeometryError(f"malformed coordinate: {v!r}")
         try:
-            vals.append(int(v, 16) if isinstance(v, str) else v)
+            vals.append(parse_hex(v) if isinstance(v, str) else v)
         except ValueError as exc:
             raise GeometryError(f"malformed coordinate: {v!r}") from exc
     return normalize(spec, tuple(vals))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ from hyperarcs.arcs import (
     Arc,
     ArcError,
     conic_translation_arc,
+    enumerate_arc_subgroups,
     secant_directions,
     subgroup_make,
     translation_arc,
@@ -29,6 +31,7 @@ from hyperarcs.blocking import (
     projectively_equivalent,
     secant_blocker_map,
     triangle_collinearity,
+    _blocker_candidates,
 )
 
 GF4 = field_make(2)
@@ -178,16 +181,24 @@ def test_hyperoval_blocking_sets_are_external_lines():
     assert found  # hyperfocused: external lines provide linear sets
 
 
-def walk_min_blocking(arc):
-    """Oracle: candidates with their secant masks from a walk along every
-    secant's q + 1 points, then an exact cover of the secants that always
-    branches on the lowest uncovered one."""
+def walk_candidates(arc):
+    """Oracle: the points on exactly k/2 secants, each with the bitmask of
+    its secants in pair order, from a walk along every secant's q + 1
+    points."""
     spec, k = arc.spec, len(arc)
     masks = {}
     for idx, (p, q) in enumerate(combinations(arc.points, 2)):
         for x in pp.line_points(spec, pp.line_through(spec, p, q)):
             masks[x] = masks.get(x, 0) | 1 << idx
-    candidates = [(x, m) for x, m in masks.items() if m.bit_count() == k // 2]
+    return {x: m for x, m in masks.items() if m.bit_count() == k // 2}
+
+
+def walk_min_blocking(arc):
+    """Oracle: candidates with their secant masks from a walk along every
+    secant's q + 1 points, then an exact cover of the secants that always
+    branches on the lowest uncovered one."""
+    k = len(arc)
+    candidates = list(walk_candidates(arc).items())
     full = (1 << (k * (k - 1) // 2)) - 1
     out = set()
 
@@ -206,11 +217,14 @@ def walk_min_blocking(arc):
 
 
 def random_arc_prefixes(spec, rng, sizes):
-    """Arcs of the given sizes: the prefixes of one randomly grown arc."""
+    """Arcs of the given sizes: the prefixes of one randomly grown arc,
+    grown until it has the largest size or no sampled point extends it."""
     grown = []
     for p in rng.sample(pp.all_points(spec), spec.q * spec.q + spec.q + 1):
         if not any(pp.collinear(spec, p, a, b) for a, b in combinations(grown, 2)):
             grown.append(p)
+            if len(grown) == max(sizes):
+                break
     return [Arc(spec, tuple(grown[:k])) for k in sizes if k <= len(grown)]
 
 
@@ -249,22 +263,72 @@ def test_min_blocking_translation_arc_q1024_is_its_directions():
     assert {b.points for b in sets} == walk_min_blocking(arc)
 
 
-def test_min_blocking_meets_are_external_and_independent_of_q(monkeypatch):
-    # (k-1) C(k-2, 2) meets of secants with no common arc point, for any q
-    meets, meet = [], pp._meet
+def naming_choice(arc, i):
+    """Which coordinate of the line p0 pi the candidate search solves for:
+    2 when its third coordinate is nonzero, else 0 when its first is, else 1."""
+    p0, p = arc.points[0], arc.points[i]
+    line = pp.line_through(arc.spec, p0, p)
+    return next(c for c in (2, 0, 1) if line[c])
 
-    def counting_meet(spec, l1, l2):
-        meets.append(meet(spec, l1, l2))
-        return meets[-1]
 
-    monkeypatch.setattr(pp, "_meet", counting_meet)
+MIN_BLOCKING_DIGEST = "f8fd2990e1e859cbda3e565ba33e42b38baf9e66c14db8f7771152d54af7776c"
+
+
+def test_min_blocking_sets_digest():
+    # every set's points, in order, over the 1,122 translation arcs of the
+    # r <= 3 sweep, seeded random arcs of sizes 4-10 at q = 4-32, and the
+    # regular hyperoval of PG(2, 16); the digest was taken from the earlier
+    # search, whose candidates came from secant meets
+    population = [
+        translation_arc(subgroup_make(spec, basis))
+        for spec in (GF4, GF8)
+        for basis in enumerate_arc_subgroups(spec, (2, 3, 4))
+    ]
+    assert len(population) == 1122
+    rng = random.Random(2718)
+    for spec in (GF4, GF8, GF16, GF32):
+        for _ in range(8):
+            population += random_arc_prefixes(spec, rng, range(4, 11))
+    assert {len(arc) for arc in population} == set(range(4, 11))
+    choices = {naming_choice(arc, i) for arc in population for i in range(1, len(arc))}
+    assert choices == {0, 1, 2}
+    conic = [(x, GF16.mul(x, x), 1) for x in GF16.elements()]
+    oval = Arc(GF16, tuple(conic) + ((0, 1, 0), (1, 0, 0)))
+    population.append(oval)
+
+    digest = hashlib.sha256()
+    for arc in population:
+        sets = min_blocking_sets(arc)
+        digest.update(repr([b.points for b in sets]).encode() + b"\n")
+    assert digest.hexdigest() == MIN_BLOCKING_DIGEST
+
+    # the hyperoval's minimum blocking sets are its 120 external lines
+    external = [
+        line for line in pp.all_lines(GF16)
+        if not any(pp.incident(GF16, p, line) for p in oval.points)
+    ]
+    assert len(external) == 120
+    assert [b.points for b in sets] == sorted(
+        tuple(sorted(pp.line_points(GF16, line))) for line in external
+    )
+
+
+def test_blocker_candidates_build_no_line_or_meet(monkeypatch):
+    # the candidates, with their secant masks, come from dot products and
+    # table divisions alone, for any q
     big = translation_arc(conic_group_q1024())
-    for arc in (quad_arc(GF4), quad_arc(GF32), ghf_eight(GF16)[0], big):
-        k = len(arc)
-        meets.clear()
-        min_blocking_sets(arc)
-        assert len(meets) == (k - 1) * (k - 2) * (k - 3) // 2
-        assert not set(meets) & set(arc.points)
+    cases = [(arc, walk_candidates(arc))
+             for arc in (quad_arc(GF4), quad_arc(GF32), ghf_eight(GF16)[0], big)]
+
+    def refuse(*args):
+        raise AssertionError("a line or a meet was built")
+
+    monkeypatch.setattr(pp, "_meet", refuse)
+    monkeypatch.setattr(pp, "_line_through", refuse)
+    for arc, want in cases:
+        found = _blocker_candidates(arc)
+        assert found == want
+        assert not set(found) & set(arc.points)
 
 
 def secant_hits_by_incidence(arc, points):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperarcs.cli import dispatch
+from hyperarcs.gf2 import field_make
 
 
 def run(capsys, *argv):
@@ -294,6 +299,88 @@ def test_repeated_point_is_exit_2(tmp_path, capsys, command, repeat):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "listed twice" in err
+
+
+# A 4-arc of PG(2, 8) as an arc file; each mutant below breaks the contract
+ARC_FILE = {
+    "field": {"r": 3, "poly": "0xb"},
+    "points": [["0x1", "0x0", "0x0"], ["0x0", "0x1", "0x0"],
+               ["0x0", "0x0", "0x1"], ["0x1", "0x1", "0x1"]],
+}
+ARC_MUTATIONS = (
+    "repeat a point", "non-int coordinate", "out-of-range coordinate",
+    "non-hex string", "non-hex spelling", "zero point", "bad point shape",
+    "bad poly", "non-int r", "drop a key", "truncate",
+)
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def mutate_arc_file(kind, data):
+    """The text of ARC_FILE with one defect of the given kind, drawn from data."""
+    obj = json.loads(json.dumps(ARC_FILE))
+    points = obj["points"]
+    i = data.draw(st.integers(0, len(points) - 1))
+    c = data.draw(st.integers(0, 2))
+    value = int(points[i][c], 16)
+    if kind == "repeat a point":
+        # the same projective point, literally or as a multiple: x -> x * s
+        spec = field_make(3)
+        s = data.draw(st.integers(1, spec.q - 1))
+        twin = [f"0x{spec.mul(int(v, 16), s):x}" for v in points[i]]
+        points.insert(data.draw(st.integers(0, len(points))), twin)
+    elif kind == "non-int coordinate":
+        points[i][c] = data.draw(st.sampled_from(
+            [float(value), 0.5, True, False, None, [value], [], {}]))
+    elif kind == "out-of-range coordinate":
+        bad = data.draw(st.sampled_from([8, 9, 255, 2 ** 64, -1]))
+        points[i][c] = data.draw(st.sampled_from([bad, hex(bad)]))
+    elif kind == "non-hex string":
+        points[i][c] = data.draw(st.sampled_from(["", "0x", "g", "0xg", "1.0", "x1", "0x1 0"]))
+    elif kind == "non-hex spelling":
+        # int(text, 16) reads each of these as the coordinate's value
+        points[i][c] = data.draw(st.sampled_from([
+            f"+{value:x}", f" 0x{value:x}", f"0x{value:x}\n", f"0x_{value:x}",
+            f"{value:x}".translate(ARABIC_INDIC), f"0x0x{value:x}",
+        ]))
+    elif kind == "zero point":
+        points[i] = data.draw(st.sampled_from([["0x0", "0x0", "0x0"], [0, 0, 0]]))
+    elif kind == "bad point shape":
+        points[i] = data.draw(st.sampled_from(
+            [points[i][:2], points[i] + ["0x1"], "0x1", {"x": "0x1"}, None]))
+    elif kind == "bad poly":
+        obj["field"]["poly"] = data.draw(st.sampled_from(
+            ["0x7", "0x9", "0x1b", "0xg", "", 11.0, True, [11], "+0xb", " 0xb", "0x_b"]))
+    elif kind == "non-int r":
+        obj["field"]["r"] = data.draw(st.sampled_from([3.0, "3", True, None, [3]]))
+    elif kind == "drop a key":
+        key = data.draw(st.sampled_from(["field", "points", "r"]))
+        del (obj["field"] if key == "r" else obj)[key]
+    text = json.dumps(obj)
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def test_arc_file_is_valid_before_mutation(tmp_path, capsys):
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps(ARC_FILE))
+    for command in (["arc", "verify"], ["blocking", "find"]):
+        code, report, err = run_json(capsys, *command, "--in", str(path))
+        assert code == 0 and err == ""
+    assert report["results"]["count"] == 1
+
+
+@given(data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_arc_file_is_usage_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutant_arc.json"
+    path.write_text(mutate_arc_file(data.draw(st.sampled_from(ARC_MUTATIONS)), data))
+    for command in (["arc", "verify"], ["blocking", "find"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([*command, "--in", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
 
 
 def test_arc_complete(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from itertools import combinations, permutations, product
 from operator import itemgetter
@@ -88,6 +89,25 @@ def test_factor_validation():
 def test_edges_must_be_int_pairs(factor):
     with pytest.raises(FactorizationError, match="is not a pair of int vertices"):
         OneFactorization(4, (factor, ((1, 3), (2, 4)), ((1, 4), (2, 3))))
+
+
+K4_FACTORS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "n_vertices, factors, message",
+    [
+        (4, (1, 2, 3), "are not collections of edges"),
+        (4, None, "are not collections of edges"),
+        (4, (K4_FACTORS[0], 5, K4_FACTORS[2]), "are not collections of edges"),
+        (4.0, K4_FACTORS, "vertex count 4.0 is not an int"),
+        ("4", (), "vertex count '4' is not an int"),
+        (True, K4_FACTORS, "vertex count True is not an int"),
+    ],
+)
+def test_malformed_arguments_raise_factorization_error(n_vertices, factors, message):
+    with pytest.raises(FactorizationError, match=re.escape(message)):
+        OneFactorization(n_vertices, factors)
 
 
 def test_edges_normalized_sorted():
