@@ -613,11 +613,8 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
 
 
 def hyperoval_containment(arc: Arc):
-    """Decide whether an affinely complete arc extends to a hyperoval.
-
-    Affine completeness pins any containing hyperoval down to the arc plus
-    points on the line at infinity, so only those completions are tried.
-    Returns (verdict, hyperoval_points_or_None).
+    """Decide whether an affinely complete arc extends to a hyperoval, as
+    _complete_hyperoval argues.  Returns (verdict, hyperoval_points_or_None).
     """
     uncovered, at_infinity = _uncovered(arc)
     if uncovered:
@@ -626,23 +623,25 @@ def hyperoval_containment(arc: Arc):
 
 
 def _complete_hyperoval(arc: Arc, candidates: list[Point]):
-    """hyperoval_containment of an affinely complete arc, given the points
-    at infinity lying on no secant and not in the arc."""
-    spec = arc.spec
-    q = spec.q
+    """hyperoval_containment of an affinely complete arc, given the
+    candidates: the points at infinity on no secant and not in the arc.
+
+    A hyperoval through the k-arc adds need = q + 2 - k points, on no secant
+    and, by affine completeness, at infinity: candidates, at most two, so
+    k >= q.  Conversely, a set S of candidates has no collinear triple with
+    two arc points, as S is on no secant, nor with one, a, unless a is at
+    infinity with S.  So the first need candidates complete the arc unless
+    there are fewer, or need = 2 and an arc point is at infinity."""
+    q = arc.spec.q
     k = len(arc)
-    if k >= q + 2:
-        return CONTAINED, arc.points
-    if k < q:
-        return NOT_CONTAINED, None
     need = q + 2 - k
-    for extra in combinations(candidates, need):
-        try:
-            oval = Arc(spec, arc.points + extra)
-        except ArcError:
-            continue
-        return CONTAINED, oval.points
-    return NOT_CONTAINED, None
+    if need <= 0:
+        return CONTAINED, arc.points
+    if k < q or len(candidates) < need or (
+        need == 2 and any(p[2] == 0 for p in arc.points)
+    ):
+        return NOT_CONTAINED, None
+    return CONTAINED, tuple(sorted((*arc.points, *candidates[:need])))
 
 
 def subplane_bound(arc: Arc) -> str:

@@ -133,7 +133,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     through the first arc point p0: a minimum blocking set takes one
     candidate on each, and k - 1 disjoint ones, one on each, cover
     (k-1) k/2 = k(k-1)/2 secants, all of them.  So the exact cover branches
-    on the secants through p0, the one with fewest usable candidates first.
+    on the secants through p0, in order.
     """
     k = len(arc)
     if k < 3:
@@ -145,29 +145,19 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     through = [[] for _ in range(k - 1)]
     for p, m in masks.items():
         through[(m & -m).bit_length() - 1].append((p, m))
-    pending = (1 << (k - 1)) - 1
     solutions, chosen = [], []
 
-    def search(covered: int):
-        rem = pending & ~covered
-        if not rem:
+    def search(i: int, covered: int):
+        if i == k - 1:
             solutions.append(tuple(chosen))
             return
-        best = None
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            usable = [(p, m) for p, m in through[low.bit_length() - 1] if not m & covered]
-            if best is None or len(usable) < len(best):
-                best = usable
-                if len(usable) < 2:  # none fails the branch; one cannot be beaten
-                    break
-        for p, m in best:
-            chosen.append(p)
-            search(covered | m)
-            chosen.pop()
+        for p, m in through[i]:
+            if not m & covered:
+                chosen.append(p)
+                search(i + 1, covered | m)
+                chosen.pop()
 
-    search(0)
+    search(0, 0)
     out = [BlockingSet(arc.spec, pts) for pts in solutions]
     out.sort(key=lambda b: b.points)
     for b in out:
@@ -248,24 +238,16 @@ def ghf_eight(
     from {0, 1, lam, lam + 1}, which forces q >= 16: that set is an additive
     group of index 2 in F_8, so at q = 8 no triple avoids it (the proof is
     in classify.ClassificationReport.example_exists).  With parameters omitted
-    the first valid triple in scan order is used.  The 7 blockers form a
-    subplane of order 2, which is re-checked here.
+    the triple is (2, 4, 8), the first valid one scanning lam, then a1, then
+    a2 upward: lam = 2 is the least outside {0, 1}, a1 = 4 the least outside
+    U = {0, 1, 2, 3}, and a2 must avoid U and U + 4.  Bit arithmetic puts
+    {4, 8, 12} outside U in every field with q >= 16.
+    The 7 blockers form a subplane of order 2, which is re-checked here.
     """
-    group = _quadrangle_group(spec)
     if lam is None and a1 is None and a2 is None:
-        found = next(
-            (
-                (l, x, y)
-                for l in spec.elements()
-                for x in spec.elements()
-                for y in spec.elements()
-                if _valid_parameters(l, x, y)
-            ),
-            None,
-        )
-        if found is None:
+        if spec.q < 16:
             raise BlockingError(f"no valid parameters exist for q = {spec.q}")
-        lam, a1, a2 = found
+        lam, a1, a2 = 2, 4, 8
     elif lam is None or a1 is None or a2 is None:
         raise BlockingError("give all of lam, a1, a2, or none")
     else:
@@ -273,7 +255,8 @@ def ghf_eight(
         if not _valid_parameters(lam, a1, a2):
             raise BlockingError(f"(lam={lam}, a1={a1}, a2={a2}) violates the constraints")
 
-    arc, bset = ghf_construct(group, pp.homology(spec, lam, a1, a2))
+    quadrangle = subgroup_make(spec, [(0, 1), (1, 0)])
+    arc, bset = ghf_construct(quadrangle, pp.homology(spec, lam, a1, a2))
     if not is_fano_configuration(spec, bset.points):
         raise BlockingError("blockers do not form a subplane of order 2")
     return arc, bset, (lam, a1, a2)
@@ -281,10 +264,6 @@ def ghf_eight(
 
 def _valid_parameters(lam: int, a1: int, a2: int) -> bool:
     return lam not in (0, 1) and not ({a1, a2, a1 ^ a2} & {0, 1, lam, lam ^ 1})
-
-
-def _quadrangle_group(spec: FieldSpec) -> AdditiveSubgroup:
-    return subgroup_make(spec, [(0, 1), (1, 0)])
 
 
 def is_doubled_quadrangle(arc: Arc) -> bool:
@@ -370,17 +349,11 @@ def triangle_collinearity(arc: Arc, blocking: BlockingSet):
 def factorization_of(arc: Arc, blocking: BlockingSet) -> OneFactorization:
     """Read the minimum blocking set as a 1-factorization of the complete
     graph on the arc points (canonical order, 1-based vertices)."""
-    blocker_of = secant_blocker_map(arc, blocking)
     index = {p: i + 1 for i, p in enumerate(arc.points)}
-    factors = []
-    for b in blocking.points:
-        edges = sorted(
-            tuple(sorted((index[p], index[q])))
-            for (p, q) in (tuple(fs) for fs, blk in blocker_of.items() if blk == b)
-        )
-        factors.append(tuple(edges))
-    factors.sort()
-    return OneFactorization(len(arc), tuple(factors))
+    edges = {b: [] for b in blocking.points}
+    for pair, b in secant_blocker_map(arc, blocking).items():
+        edges[b].append(tuple(sorted(index[p] for p in pair)))
+    return OneFactorization(len(arc), tuple(sorted(tuple(sorted(e)) for e in edges.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 
@@ -30,7 +31,7 @@ from hyperarcs.arcs import (
 )
 from hyperarcs.blocking import BlockingError, ghf_eight, min_blocking_sets
 from hyperarcs.classify import classify_ghf
-from hyperarcs.gf2 import FieldError, FieldSpec, field_make
+from hyperarcs.gf2 import FieldError, FieldSpec, field_make, parse_hex
 from hyperarcs.onefact import (
     FactorizationError,
     closure_survey,
@@ -65,19 +66,35 @@ class RunReport:
 
 
 def _parse_field_value(text: str) -> int:
-    text = text.strip()
+    """A field value: ASCII decimal digits, or base 16 after 0x or 0X as
+    gf2.parse_hex reads it."""
+    if re.fullmatch("[0-9]+", text):
+        return int(text)
+    if text[:2] in ("0x", "0X"):
+        try:
+            return parse_hex(text)
+        except ValueError:
+            pass
+    raise UsageError(f"{text!r} is not a field value")
+
+
+def _integer(text: str) -> int:
+    """An integer flag: ASCII decimal digits after an optional minus sign."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _poly(text: str) -> int:
     try:
-        return int(text, 16) if text.lower().startswith("0x") else int(text)
-    except ValueError:
-        raise UsageError(f"{text!r} is not a field value") from None
+        return parse_hex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _budget(text: str) -> int:
     """A search budget or result limit: an integer, 0 or more."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is below 0")
     return value
@@ -89,10 +106,6 @@ def _field_from_args(args) -> FieldSpec:
     if args.q < 1 or args.q & (args.q - 1):
         raise UsageError(f"q = {args.q} is not a power of two")
     return field_make(args.q.bit_length() - 1, args.poly)
-
-
-def _parse_basis(text: str) -> list[int]:
-    return [_parse_field_value(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -138,7 +151,9 @@ def _cmd_arc_build(args, report: RunReport) -> int:
             raise UsageError(f"example {args.example} does not read {flag}")
     spec = _field_from_args(args)
     report.field = spec.to_json()
-    basis = _parse_basis(args.h_basis) if args.h_basis else [1 << k for k in range(spec.r)]
+    basis = [1 << k for k in range(spec.r)]
+    if args.h_basis:
+        basis = [_parse_field_value(tok) for tok in args.h_basis.split(",")]
     report.inputs["example"] = args.example
     if args.example == "n1":
         arc = conic_translation_arc(spec, basis)
@@ -348,9 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_field_args(p):
         field = p.add_mutually_exclusive_group(required=True)
-        field.add_argument("--r", type=int)
-        field.add_argument("--q", type=int)
-        p.add_argument("--poly", type=lambda s: int(s, 16))
+        field.add_argument("--r", type=_integer)
+        field.add_argument("--q", type=_integer)
+        p.add_argument("--poly", type=_poly)
 
     p_field = leaf(sub, "field", _cmd_field, help="validate and describe a field")
     add_field_args(p_field)
@@ -360,13 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_field_args(p_build)
     p_build.add_argument("--example", required=True, choices=("n1", "n2", "n3"))
     p_build.add_argument("--h-basis", dest="h_basis")
-    p_build.add_argument("--i", type=int)
+    p_build.add_argument("--i", type=_integer)
     p_build.add_argument("--eta")
     p_build.add_argument("--b")
     p_build.add_argument("--save", help="write the arc JSON here")
     p_complete = leaf(arc_sub, "complete", _cmd_arc_complete)
-    p_complete.add_argument("--r", type=int, required=True)
-    p_complete.add_argument("--s", type=int, required=True)
+    p_complete.add_argument("--r", type=_integer, required=True)
+    p_complete.add_argument("--s", type=_integer, required=True)
     p_complete.add_argument("--save", help="write the arc JSON here")
     p_verify = leaf(arc_sub, "verify", _cmd_arc_verify)
     p_verify.add_argument("--in", dest="infile", required=True)
@@ -386,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     onefact_sub = group("onefact", "1-factorizations of K_2n")
     p_enum = leaf(onefact_sub, "enumerate", _cmd_onefact_enumerate)
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_integer, required=True)
     p_enum.add_argument("--out", dest="catalog_out", help="write the catalog here")
     p_closure = leaf(onefact_sub, "closure", _cmd_onefact_closure)
     p_closure.add_argument("--catalog", required=True)
@@ -398,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_classify = leaf(sub, "classify", _cmd_classify, help="small GHF classification")
     add_field_args(p_classify)
-    p_classify.add_argument("--max-k", type=int, default=10)
+    p_classify.add_argument("--max-k", type=_integer, default=10)
     p_classify.add_argument("--budget", type=_budget)
 
     return parser

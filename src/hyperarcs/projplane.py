@@ -334,15 +334,11 @@ def _to_standard_frame(spec: FieldSpec, p1, p2, p3, p4) -> Matrix:
 
 
 def _check_frame(spec: FieldSpec, pts) -> None:
-    p1, p2, p3, p4 = pts
+    if len(pts) != 4:
+        raise GeometryError("a frame has four points")
     for p in pts:
         spec.check(*p)
-    if (
-        _collinear(spec, p1, p2, p3)
-        or _collinear(spec, p1, p2, p4)
-        or _collinear(spec, p1, p3, p4)
-        or _collinear(spec, p2, p3, p4)
-    ):
+    if _collinear_triple(spec, pts) is not None:
         raise GeometryError("frame points are not in general position")
 
 

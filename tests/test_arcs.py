@@ -682,6 +682,68 @@ def test_hyperoval_containment_requires_completeness():
         hyperoval_containment(arc)
 
 
+def complete_by_subsets(arc, candidates):
+    """Oracle: the subset search _complete_hyperoval replaced, trying each
+    need-subset of the candidates in turn."""
+    q, k = arc.spec.q, len(arc)
+    if k >= q + 2:
+        return CONTAINED, arc.points
+    if k < q:
+        return NOT_CONTAINED, None
+    for extra in combinations(candidates, q + 2 - k):
+        try:
+            return CONTAINED, Arc(arc.spec, arc.points + extra).points
+        except ArcError:
+            continue
+    return NOT_CONTAINED, None
+
+
+def completion_case(arc, candidates):
+    """Which rule of _complete_hyperoval decides the arc."""
+    q, k = arc.spec.q, len(arc)
+    need = q + 2 - k
+    if need <= 0:
+        return "hyperoval"
+    if k < q:
+        return "k < q"
+    if len(candidates) < need:
+        return "too few candidates"
+    if need == 2 and any(p[2] == 0 for p in arc.points):
+        return "arc point at infinity"
+    return f"completed by {need}"
+
+
+def test_complete_hyperoval_matches_subset_search():
+    # projective images of translation hyperovals (x, x^(2^i)) with 0-2
+    # points dropped, and arcs with k < q; complete or not, the candidates
+    # at infinity decide alike.  At q >= 4 two candidates of a q-arc are the
+    # two points its hyperoval lacks, so they span the line at infinity only
+    # when no arc point is there: q = 2 is what reaches that case.
+    cases = set()
+    for r in (1, 2, 3, 4):
+        spec = field_make(r)
+        rng = random.Random(2800 + r)
+        exponents = [i for i in range(1, max(r, 2)) if gcd(i, r) == 1]
+        for _ in range(40):
+            i = rng.choice(exponents)
+            oval = [(x, spec.frob(x, i), 1) for x in spec.elements()] + [(0, 1, 0), (1, 0, 0)]
+            m = pp.frame_map(spec, pp.STANDARD_FRAME, random_arc(spec, rng, 4).points)
+            image = [pp.apply_point(spec, m, p) for p in oval]
+            rng.shuffle(image)
+            tried = [Arc(spec, tuple(image[drop:])) for drop in (0, 1, 2)]
+            if spec.q > 3:
+                tried.append(random_arc(spec, rng, rng.randrange(3, spec.q)))
+            for arc in tried:
+                candidates = arcs._uncovered(arc)[1]
+                got = arcs._complete_hyperoval(arc, candidates)
+                assert got == complete_by_subsets(arc, candidates)
+                cases.add(completion_case(arc, candidates))
+    assert cases == {
+        "hyperoval", "k < q", "too few candidates", "arc point at infinity",
+        "completed by 1", "completed by 2",
+    }
+
+
 def test_subplane_bound_cases():
     spec6 = field_make(6)
     # 16 points in PG(2,64): 16 > 2^3 + 2

@@ -439,6 +439,20 @@ def test_ghf_eight_scan_matches_manual_scan():
     assert params == (lam, a1, a2)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_ghf_eight_default_is_first_valid_triple(r):
+    # the default (2, 4, 8) against the q^3 scan it replaced
+    spec = field_make(r)
+    first = first_valid_params(spec)
+    if first is None:
+        with pytest.raises(BlockingError, match=f"no valid parameters exist for q = {spec.q}"):
+            ghf_eight(spec)
+        return
+    arc, bset, params = ghf_eight(spec)
+    assert params == first
+    assert (arc, bset) == ghf_eight(spec, *first)[:2]
+
+
 def test_ghf_eight_structure():
     arc, bset, (lam, a1, a2) = ghf_eight(GF16)
     spec = GF16

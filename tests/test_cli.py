@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hyperarcs.cli import dispatch
 from hyperarcs.gf2 import field_make
+from test_onefact import MUTATIONS, mutate
 
 
 def run(capsys, *argv):
@@ -61,6 +62,61 @@ def test_flag_rejected_by_argparse_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+# each number-reading flag in a command that reads it; {} is its value
+NUMBER_FLAGS = {
+    "--r": ["field", "--r", "{}"],
+    "--q": ["field", "--q", "{}"],
+    "--poly": ["field", "--r", "4", "--poly", "{}"],
+    "--i": ["arc", "build", "--example", "n2", "--r", "5", "--h-basis", "1,2", "--i", "{}"],
+    "--s": ["arc", "complete", "--r", "8", "--s", "{}"],
+    "--n": ["onefact", "enumerate", "--n", "{}"],
+    "--max-k": ["classify", "--q", "16", "--max-k", "{}"],
+    "--budget": ["classify", "--q", "16", "--max-k", "6", "--budget", "{}"],
+    "--limit": ["onefact", "embed", "--catalog", str(GOLDEN / "k6.txt"), "--q", "4",
+                "--limit", "{}"],
+    "--lambda": ["ghf", "build", "--q", "16", "--lambda", "{}", "--a1", "4", "--a2", "8"],
+    "--a1": ["ghf", "build", "--q", "16", "--lambda", "2", "--a1", "{}", "--a2", "8"],
+    "--a2": ["ghf", "build", "--q", "16", "--lambda", "2", "--a1", "4", "--a2", "{}"],
+    "--eta": ["arc", "build", "--example", "n3", "--q", "16", "--eta", "{}", "--b", "0"],
+    "--b": ["arc", "build", "--example", "n3", "--q", "16", "--eta", "4", "--b", "{}"],
+    "--h-basis": ["arc", "build", "--example", "n1", "--r", "5", "--h-basis", "1,{}"],
+}
+
+
+@pytest.mark.parametrize("spelling", ["+4", " 4", "1_6", "\u0664", "0x_4", "0x"])
+@pytest.mark.parametrize("flag", sorted(NUMBER_FLAGS))
+def test_number_flag_refuses_non_plain_spelling(capsys, flag, spelling):
+    # int() reads the first four as 4 or 16
+    code, out, err = run(capsys, *(a.replace("{}", spelling) for a in NUMBER_FLAGS[flag]))
+    assert (code, out) == (2, "")
+    assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("spelling", ["16", "0x10", "0X10"])
+def test_field_value_flags_read_decimal_and_hex(capsys, spelling):
+    code, report, _ = run_json(
+        capsys, "ghf", "build", "--q", "32", "--lambda", spelling, "--a1", "4", "--a2", "8")
+    assert code == 0 and report["inputs"]["params"]["lam"] == 16
+    code, report, _ = run_json(
+        capsys, "arc", "build", "--example", "n1", "--r", "5", "--h-basis", f"1,{spelling}")
+    assert code == 0 and report["inputs"]["h_basis"] == [1, 16]
+
+
+@pytest.mark.parametrize("spelling", ["13", "0x13", "0X13"])
+def test_poly_flag_reads_base_16(capsys, spelling):
+    code, report, _ = run_json(capsys, "field", "--q", "16", "--poly", spelling)
+    assert code == 0 and report["field"] == {"r": 4, "poly": "0x13"}
+
+
+@pytest.mark.parametrize("spelling", ["1_3", " 0x13", "+13", "0x_13", "\u0661\u0663", "13 "])
+def test_poly_flag_refuses_what_arc_files_refuse(capsys, spelling):
+    # int(spelling, 16) reads each of these as 0x13
+    code, out, err = run(capsys, "field", "--q", "16", "--poly", spelling)
+    assert (code, out) == (2, "")
+    assert "--poly" in err and "is not a base-16 spelling" in err
 
 
 def test_unknown_command_usage_error(capsys):
@@ -381,6 +437,45 @@ def test_mutated_arc_file_is_usage_error(tmp_path_factory, data):
             code = dispatch([*command, "--in", str(path)])
         assert (code, out.getvalue()) == (2, "")
         assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+
+
+CATALOG_MUTATIONS = MUTATIONS + ("separator", "truncate")
+
+
+def mutate_catalog_line(line, kind, data):
+    """line with one defect of the given kind, drawn from data: the kinds of
+    test_parse_catalog_rejects_mutants, another separator between two edges,
+    or a cut before the end."""
+    if kind == "separator":
+        i = data.draw(st.sampled_from([i for i, ch in enumerate(line) if ch == " "]))
+        return line[:i] + data.draw(st.sampled_from(["\t", ",", "  "])) + line[i + 1:]
+    if kind == "truncate":
+        return line[:data.draw(st.integers(1, len(line) - 1))]
+    return mutate(line, kind, data)
+
+
+def test_golden_catalogs_are_valid_before_mutation(capsys):
+    for name in ("k6.txt", "k8.txt"):
+        for command in (["onefact", "closure"], ["onefact", "embed", "--q", "4"]):
+            code, _, err = run_json(capsys, *command, "--catalog", str(GOLDEN / name))
+            assert code == 0 and err == ""
+
+
+@given(data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_catalog_is_usage_error(tmp_path_factory, data):
+    lines = (GOLDEN / data.draw(st.sampled_from(["k6.txt", "k8.txt"]))).read_text().splitlines()
+    n = data.draw(st.integers(0, len(lines) - 1))
+    lines[n] = mutate_catalog_line(lines[n], data.draw(st.sampled_from(CATALOG_MUTATIONS)), data)
+    path = tmp_path_factory.getbasetemp() / "mutant_catalog.txt"
+    path.write_text("\n".join(lines) + "\n")
+    for command in (["onefact", "closure"], ["onefact", "embed", "--q", "4"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([*command, "--catalog", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert re.fullmatch(
+            f"error: bad catalog {re.escape(str(path))}: line {n + 1}: [^\n]*\n", err.getvalue())
 
 
 def test_arc_complete(capsys):

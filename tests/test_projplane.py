@@ -300,6 +300,27 @@ def test_frame_map_degenerate_rejected():
         pp.frame_map(GF8, degenerate, pp.STANDARD_FRAME)
 
 
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        # a collinear triple in every position of the frame
+        (((1, 1, 1), (0, 0, 1), (0, 1, 1), (0, 1, 0)), "not in general position"),
+        (((0, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, 0)), "not in general position"),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0)), "not in general position"),
+        # one point twice, literally or as a multiple, and the zero triple
+        (((1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)), "repeated point"),
+        (((1, 1, 1), (0, 1, 0), (0, 0, 1), (2, 2, 2)), "zero triple"),
+        (((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), "zero triple"),
+        (pp.STANDARD_FRAME[:3], "four points"),
+        (pp.STANDARD_FRAME + ((1, 2, 1),), "four points"),
+    ],
+)
+def test_frame_map_refuses_a_non_frame(frame, message):
+    for sources, targets in ((frame, pp.STANDARD_FRAME), (pp.STANDARD_FRAME, frame)):
+        with pytest.raises(pp.GeometryError, match=message):
+            pp.frame_map(GF8, sources, targets)
+
+
 def test_frame_map_recovers_homology():
     lam, a1, a2 = 6, 2, 4
     phi = pp.homology(GF8, lam, a1, a2)
