@@ -309,7 +309,7 @@ def _cmd_onefact_embed(args, report: RunReport) -> int:
 
 def _catalog_from_args(args, report: RunReport):
     try:
-        with open(args.catalog) as fh:
+        with open(args.catalog, newline="") as fh:
             facts = parse_catalog(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read catalog {args.catalog}: {exc}") from exc

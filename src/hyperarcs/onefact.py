@@ -19,7 +19,10 @@ over all 2^k subsets of the k factors, from the triangle masks to the
 result, which decodes it into factor sets only when read.  It runs in
 rounds; depth counts the rounds that add members, and each round unites
 only pairs with a member new in the previous round, walking those members
-as a trie of their factors.
+as a trie of their factors down to factor 0.  A new member all of whose
+supersets are already members can add nothing, so it is left out of the
+next round, and the closure stops, with no empty round, once every new
+member is such.
 
 Embeddings (vertices to an arc, factors to focus points on all their
 secants) are searched with the first four vertex images pinned to the
@@ -47,7 +50,7 @@ from hyperarcs.projplane import Point
 # embedding search stop at K10, since K12 has 526,915,620 classes.
 MAX_VERTICES = 10
 
-# The closure's limit: its cost grows about 10-fold per two vertices.
+# The closure's limit: its cost grows about 8-fold per two vertices.
 MAX_CLOSURE_VERTICES = 16
 
 
@@ -140,6 +143,8 @@ class OneFactorization(Record):
 # edges inside a factor by single spaces, each edge "u-v" with u != v plain
 # decimals in 1..n2 (no sign, leading zero, "_" or non-ASCII digit), so
 # "1-2 3-4 5-6|1-3 2-5 4-6|...", where n2 is one more than the factor count.
+# A catalog's lines end at "\n" alone; empty lines are skipped, and a line
+# with any other whitespace at either end, "\r" included, is refused.
 # The parser looks every token up in a table of the n2(n2 - 1) spellings of
 # edges, so it rejects any other.  format_factorization writes u < v, edges
 # sorted inside factors and factors sorted by smallest edge; the parser takes
@@ -162,9 +167,10 @@ def _edge_tokens(n2: int) -> dict[str, Edge]:
 def _parse_factorization(text: str, tables: dict[int, dict[str, Edge]]) -> OneFactorization:
     """parse_factorization; tables holds the edge-token tables built so far,
     by n2, for the other lines of a catalog."""
-    text = text.strip()
     if not text:
         raise FactorizationError("empty factorization")
+    if text[0].isspace() or text[-1].isspace():
+        raise FactorizationError("whitespace at the start or end of the line")
     factors = [chunk.split(" ") for chunk in text.split("|")]
     n2 = len(factors) + 1
     if n2 % 2:
@@ -196,8 +202,8 @@ def format_catalog(facts) -> str:
 def parse_catalog(text: str) -> list[OneFactorization]:
     out = []
     tables: dict[int, dict[str, Edge]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
             continue
         try:
             out.append(_parse_factorization(line, tables))
@@ -575,13 +581,22 @@ def closure(fact: OneFactorization) -> ClosureResult:
     down, sharing once and twice for the factors fixed above a branch, and
     applies S_i once, to the union from the branch with factor i: as each
     S_i distributes over | and the shifts commute, that is the union of
-    every member's own result.
+    every member's own result.  Factor 0 is the base case: the branch
+    without it yields family & twice, the branch with it
+    S_0(family & (twice | once & has[0])).
 
     Rounds are semi-naive: a round unites only pairs with a member added
     by the previous round (the triples count as added before round one),
-    since the union of two older members is already in the family.  depth
+    since the union of two older members is already in the family.  After
+    a round that adds members, the new members below no set missing from
+    the family are dropped from the next round, and the closure stops when
+    none is left.  That is exact: a round forms only unions a | b with a
+    added, each a superset of a, so a member whose supersets are all in
+    the family adds nothing, now or later, as the family only grows; and
+    if no member is left, the next round would add nothing.  A dropped
+    member still serves as a partner b, being in the family.  So depth
     counts the rounds that add members, exactly as if every round united
-    all pairs."""
+    all pairs, and no round that adds nothing is walked."""
     n2 = fact.n_vertices
     if n2 > MAX_CLOSURE_VERTICES:
         raise FactorizationError(
@@ -593,11 +608,15 @@ def closure(fact: OneFactorization) -> ClosureResult:
     has = [lattice // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
 
     def unite(added, i, once, twice):
-        if i < 0:
-            return family & twice
         h = has[i]
         with_i = added & h
         without = added ^ with_i
+        if not i:
+            out = family & twice if without else 0
+            if with_i:
+                u = family & (twice | once & h)
+                out |= (u | u << 1) & h
+            return out
         out = unite(without, i - 1, once, twice) if without else 0
         if with_i:
             u = unite(with_i, i - 1, once | h, twice | once & h)
@@ -606,11 +625,19 @@ def closure(fact: OneFactorization) -> ClosureResult:
 
     added = family = _triangle_masks(fact)
     depth = 0
-    while new := unite(added, k - 1, 0, 0) & ~family:
+    while added and (new := unite(added, k - 1, 0, 0) & ~family):
         family |= new
-        added = new
         depth += 1
+        added = new & _below(lattice & ~family, has)
     return ClosureResult(family, k, depth)
+
+
+def _below(sets: int, has: list[int]) -> int:
+    """The down-closure of a bitmap of sets (see closure): every subset of
+    each, by clearing each factor i in turn from the sets holding it."""
+    for i, h in enumerate(has):
+        sets |= (sets & h) >> (1 << i)
+    return sets
 
 
 def closure_survey(facts) -> list[dict]:

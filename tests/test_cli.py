@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hyperarcs.cli import dispatch
 from hyperarcs.gf2 import field_make
-from test_onefact import MUTATIONS, mutate
+from test_onefact import EDGE_WHITESPACE, MUTATIONS, mutate
 
 
 def run(capsys, *argv):
@@ -476,6 +476,18 @@ def test_mutated_catalog_is_usage_error(tmp_path_factory, data):
         assert (code, out.getvalue()) == (2, "")
         assert re.fullmatch(
             f"error: bad catalog {re.escape(str(path))}: line {n + 1}: [^\n]*\n", err.getvalue())
+
+
+@pytest.mark.parametrize("spelling", EDGE_WHITESPACE)
+def test_catalog_line_with_edge_whitespace_is_usage_error(tmp_path, capsys, spelling):
+    good = (GOLDEN / "k8.txt").read_text().split("\n")[0]
+    bad = EDGE_WHITESPACE[spelling](good)
+    path = tmp_path / "catalog.txt"
+    path.write_bytes(f"{good}\n{bad}\n{good}\n".encode())
+    code, out, err = run(capsys, "onefact", "closure", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        f"error: bad catalog {re.escape(str(path))}: line 2: [^\n]*\n", err)
 
 
 def test_arc_complete(capsys):

@@ -147,6 +147,49 @@ def test_catalog_bad_token():
         parse_factorization("1-2 3-x|1-3 2-4|1-4 2-3")
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+# a catalog line spoiled by whitespace at either end, each spelling refused
+EDGE_WHITESPACE = {
+    "leading tab": lambda line: "\t" + line,
+    "leading em space": lambda line: "\u2003" + line,
+    "leading space": lambda line: " " + line,
+    "trailing space": lambda line: line + " ",
+    "trailing carriage return": lambda line: line + "\r",
+    "trailing form feed": lambda line: line + "\f",
+    "trailing vertical tab": lambda line: line + "\v",
+    "whitespace-only line": lambda line: "   ",
+}
+
+
+def golden_first_line(name):
+    return (GOLDEN / name).read_text().split("\n")[0]
+
+
+@pytest.mark.parametrize("name", ["k6.txt", "k8.txt"])
+@pytest.mark.parametrize("spelling", EDGE_WHITESPACE)
+def test_catalog_line_with_edge_whitespace_is_refused(name, spelling):
+    good = golden_first_line(name)
+    bad = EDGE_WHITESPACE[spelling](good)
+    with pytest.raises(FactorizationError):
+        parse_factorization(bad)
+    with pytest.raises(FactorizationError, match="^line 2: "):
+        parse_catalog(f"{good}\n{bad}\n{good}\n")
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_catalog_lines_end_only_at_newline(separator):
+    # str.splitlines breaks lines at each of these too
+    good = golden_first_line("k6.txt")
+    with pytest.raises(FactorizationError, match="^line 1: "):
+        parse_catalog(f"{good}{separator}{good}\n")
+
+
+def test_catalog_skips_only_empty_lines():
+    good = golden_first_line("k8.txt")
+    facts = parse_catalog(f"\n{good}\n\n\n{good}")
+    assert facts == [parse_factorization(good)] * 2
+
+
 @pytest.fixture(scope="module")
 def golden_lines():
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -826,6 +869,52 @@ def test_closure_gk16_counts_frozen():
     # new member alone
     res = closure(round_robin(16))
     assert (res.contains_all, res.depth, res.members.bit_count()) == (True, 4, 32647)
+
+
+def test_closure_digest_frozen():
+    # sha256 over "members depth" of every class of the golden K6, K8 and
+    # K10 catalogs, frozen from the closure that walked each round to the
+    # one adding nothing
+    digest = hashlib.sha256()
+    count = 0
+    for name in ("k6.txt", "k8.txt", "k10.txt"):
+        for fact in parse_catalog((GOLDEN / name).read_text()):
+            res = closure(fact)
+            digest.update(f"{res.members:x} {res.depth}\n".encode())
+            count += 1
+    assert count == 403
+    assert digest.hexdigest() == (
+        "234ac946674a558ef16d17747073ac74040313b0006bea696f163d0c566bcd6d"
+    )
+
+
+def test_k4_closure_is_its_one_triple():
+    (k4,) = enumerate_factorizations(2)
+    res = closure(k4)
+    assert res.k == 3 and res.family == {frozenset({1, 2, 3})}
+    assert res.contains_all and res.depth == 0
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_below_is_the_down_closure(k):
+    # bit m of has[i] is set when set m holds factor i, built here per set
+    size = 1 << k
+    has = [sum(1 << m for m in range(size) if m >> i & 1) for i in range(k)]
+    lattice = (1 << size) - 1
+    rng = random.Random(k)
+    families = [0, lattice] + [
+        sum(1 << m for m in range(size) if rng.random() < density)
+        for density in (0.3, 0.7, 0.9, 0.97) for _ in range(3)
+    ]
+    for family in families:
+        missing = lattice & ~family
+        below = onefact._below(missing, has)
+        for m in range(size):
+            contained = any(
+                missing >> s & 1 and m & s == m for s in range(size)
+            )
+            assert (below >> m & 1) == contained
+    assert onefact._below(0, has) == 0 and onefact._below(lattice, has) == lattice
 
 
 def test_closure_never_decodes(monkeypatch, k10_catalog):
