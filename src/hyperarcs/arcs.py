@@ -74,15 +74,27 @@ class AdditiveSubgroup(Record):
 
 
 def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
-    basis = tuple((int(a), int(b)) for a, b in basis)
+    """The subgroup spanned by the basis pairs, each checked as a pair of
+    field elements (FieldError otherwise, before any independence test).
+
+    The span is built as a list that each generator doubles, so it has
+    2^len(basis) entries, and the generators are F2-independent exactly
+    when those entries are distinct: one set over the finished span decides
+    (ArcError otherwise).  More than 2r generators are dependent in the
+    2r-dimensional F_q x F_q, and are refused before any doubling, so the
+    list never outgrows the q^2 pairs."""
+    basis = tuple([(a, b) for a, b in basis])
     for a, b in basis:
         spec.check(a, b)
-    elements = {(0, 0)}
-    for a, b in basis:
-        elements |= {(a ^ x, b ^ y) for x, y in elements}
-    if len(elements) != 1 << len(basis):
+    if len(basis) > 2 * spec.r:
         raise ArcError("generators are not F2-independent")
-    return AdditiveSubgroup(spec, basis, tuple(sorted(elements)))
+    elements = [(0, 0)]
+    for a, b in basis:
+        elements += [(a ^ x, b ^ y) for x, y in elements]
+    if len(set(elements)) != len(elements):
+        raise ArcError("generators are not F2-independent")
+    elements.sort()
+    return AdditiveSubgroup(spec, basis, tuple(elements))
 
 
 class Arc(Record):
@@ -148,11 +160,12 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
         raise ArcError("base point must be affine")
     if not is_translation_arc_group(group):
         raise ArcError("orbit is not an arc: two elements of G share a direction")
+    x, y = base[0], base[1]
+    points = [(a ^ x, b ^ y, 1) for a, b in group.elements]
+    points.sort()
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
-    object.__setattr__(
-        arc, "points", tuple(sorted((a ^ base[0], b ^ base[1], 1) for a, b in group.elements))
-    )
+    object.__setattr__(arc, "points", tuple(points))
     return arc
 
 
@@ -246,14 +259,17 @@ def _directions(group: AdditiveSubgroup) -> set[int]:
     start at (0, 0), with q standing for b = 0."""
     spec = group.spec
     q, exp, log = spec.q, spec.exp, spec.log
-    return {exp[log[a] + q - 1 - log[b]] if b else q for a, b in group.elements[1:]}
+    shift = q - 1
+    return {exp[log[a] + shift - log[b]] if b else q for a, b in group.elements[1:]}
 
 
 def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
     """Points at infinity met by the secants of the orbit arc: (a/b, 1, 0),
     or (1, 0, 0) when b = 0, for each nonzero (a, b) in G."""
     q = group.spec.q
-    return tuple(sorted((d, 1, 0) if d < q else (1, 0, 0) for d in _directions(group)))
+    points = [(d, 1, 0) if d < q else (1, 0, 0) for d in _directions(group)]
+    points.sort()
+    return tuple(points)
 
 
 def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
@@ -261,23 +277,24 @@ def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
     k - 1 points (the minimum possible for a k-arc).
 
     The secant pq meets the line l at l x (p x q) = (l.q) p + (l.p) q
-    (characteristic two), so the k dot products l.p are taken once, a zero
-    one meaning l passes through an arc point.  Dividing by (l.p)(l.q), the
-    meet is p' + q' with p' = p / (l.p).  Fix a coordinate c with l_c != 0
-    and call the other two j and h.  A point X of l is fixed by its j and h
-    coordinates, since l_c X_c = l_j X_j + l_h X_h, and (X_j, X_h) is never
-    (0, 0); so it is fixed by the ratio X_j / X_h, read as infinity when
-    X_h = 0.  With u_p = p_j / (l.p) and w_p = p_h / (l.p), the secant pq
-    meets l at the point of ratio (u_p + u_q) / (w_p + w_q): one table
-    division per pair, and no secant, meet or normalized point is built."""
+    (characteristic two), so the k dot products l.p are taken once, from
+    the logs of l's coordinates, a zero one meaning l passes through an arc
+    point.  Dividing by (l.p)(l.q), the meet is p' + q' with p' = p / (l.p).
+    Fix the last coordinate c with l_c != 0 and call the other two j < h.
+    A point X of l is fixed by its j and h coordinates, since l_c X_c =
+    l_j X_j + l_h X_h, and (X_j, X_h) is never (0, 0); so it is fixed by
+    the ratio X_j / X_h, read as infinity when X_h = 0.  With u_p =
+    p_j / (l.p) and w_p = p_h / (l.p), the secant pq meets l at the point
+    of ratio (u_p + u_q) / (w_p + w_q): one table division per pair, and no
+    secant, meet or normalized point is built."""
     spec = arc.spec
     exp, log = spec.exp, spec.log
     shift, infinity = spec.q - 1, spec.q
-    c = next(i for i in (2, 1, 0) if line[i])
-    j, h = (i for i in (0, 1, 2) if i != c)
+    j, h = (0, 1) if line[2] else (0, 2) if line[1] else (1, 2)
+    l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
     uw = []
     for p in arc.points:
-        d = pp._dot(exp, log, p, line)
+        d = exp[log[p[0]] + l0] ^ exp[log[p[1]] + l1] ^ exp[log[p[2]] + l2]
         if d == 0:
             return False
         ld = shift - log[d]
@@ -671,21 +688,27 @@ def _echelon_bases(spec: FieldSpec, dims, key):
     the keys of its nonzero elements are carried down, and a choice whose
     new elements repeat a key is dropped with every basis that would extend
     it: a span that repeats a key stays a subset of every span extending
-    it.  The first vector is tested by one set union, and its basis yielded
-    with no span or key set grown."""
+    it.  Each level reads the keys of the elements e ^ v that its choices v
+    would add one span element e at a time, for all its choices at once, so
+    a choice is tested by one set union.  At the innermost level no span or
+    key set is grown: one list comprehension builds the bases whose first
+    vector passes, in choice order, for a single yield from."""
     r, q = spec.r, spec.q
 
     def extend(level, choices, span, keys, tail):
+        vecs = choices[level]
+        # each choice v paired with the keys of the elements it adds, e ^ v
+        news = zip(vecs, zip(*[[key[e ^ v] for v in vecs] for e in span]))
         size = len(keys) + len(span)
-        for v in choices[level]:
-            if level:
-                fresh = [e ^ v for e in span]
-                grown = keys.union([key[e] for e in fresh])
-                if len(grown) == size:
-                    yield from extend(level - 1, choices, span + fresh, grown,
-                                      ((v & (q - 1), v >> r),) + tail)
-            elif len(keys.union([key[e ^ v] for e in span])) == size:
-                yield ((v & (q - 1), v >> r),) + tail
+        if not level:
+            yield from [((v & (q - 1), v >> r),) + tail
+                        for v, new in news if len(keys.union(new)) == size]
+            return
+        for v, new in news:
+            grown = keys.union(new)
+            if len(grown) == size:
+                yield from extend(level - 1, choices, span + [e ^ v for e in span], grown,
+                                  ((v & (q - 1), v >> r),) + tail)
 
     for dim in dims:
         if dim == 0:

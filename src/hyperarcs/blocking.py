@@ -117,7 +117,8 @@ def _blocker_candidates(arc: Arc) -> dict[Point, int]:
         for mask in names.values():
             if mask.bit_count() == k // 2:
                 other = mask >> k - 1
-                sa, sb = (scaled[t] for t in rest[(other & -other).bit_length() - 1][1])
+                a, b = rest[(other & -other).bit_length() - 1][1]
+                sa, sb = scaled[a], scaled[b]
                 found[pp._normalize_fast(spec, sa[0] ^ sb[0], sa[1] ^ sb[1], sa[2] ^ sb[2])] = mask
     return found
 

@@ -4,7 +4,7 @@ Field elements are plain ints in [0, 2^r), read as coefficient vectors in the
 polynomial basis (bit k = coefficient of X^k).  All operations live on
 FieldSpec and take element values explicitly; elements carry no back-reference
 to their field.  A value outside [0, 2^r) is treated as a mixed-field mistake
-and rejected.
+and rejected, and so is one that is not an int (a float, str or bool).
 
 Every field multiplies through one pair of log/antilog tables (Plank, "A
 tutorial on Reed-Solomon coding", 1997; Greenan, Miller & Schwarz,
@@ -158,9 +158,14 @@ class FieldSpec(Record):
         return f"FieldSpec(r={self.r}, poly={self.poly})"
 
     def check(self, *values: int) -> None:
+        """Raise FieldError unless every value is an element of the field:
+        an int, not a bool or any other int subclass, in [0, q).  A float,
+        str or bool is refused, never converted, since the table kernels
+        would index with it or pass it through unreduced."""
+        q = self.q
         for v in values:
-            if not 0 <= v < self.q:
-                raise FieldError(f"value {v} is not an element of GF(2^{self.r})")
+            if type(v) is not int or not 0 <= v < q:
+                raise FieldError(f"value {v!r} is not an element of GF(2^{self.r})")
 
     def elements(self) -> range:
         return range(self.q)

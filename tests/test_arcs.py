@@ -66,6 +66,36 @@ def test_dependent_generators_rejected():
         subgroup_make(GF8, [(1, 0), (0, 1), (1, 1)])
 
 
+NON_INTS = [1.9, 1.0, "3", True, False]
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+def test_subgroup_refuses_non_int_values(bad):
+    # a float, str or bool is refused, never converted to an element
+    with pytest.raises(FieldError):
+        subgroup_make(GF8, [(bad, 0)])
+    with pytest.raises(FieldError):
+        subgroup_make(GF8, [(1, 0), (0, bad)])
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+def test_non_int_after_dependent_pair_is_field_error(bad):
+    # every pair is checked before the independence test
+    with pytest.raises(FieldError):
+        subgroup_make(GF8, [(1, 0), (1, 0), (bad, 1)])
+
+
+def test_more_generators_than_the_dimension_are_refused_after_checking():
+    # 2r + 1 pairs are dependent in F_q x F_q; they are refused before the
+    # span is doubled, but a pair outside the field is still the error
+    assert len(subgroup_make(GF8, [(1 << i, 0) for i in range(3)] +
+                             [(0, 1 << i) for i in range(3)]).elements) == 64
+    with pytest.raises(ArcError):
+        subgroup_make(GF8, [(1, 0)] * 40)
+    with pytest.raises(FieldError):
+        subgroup_make(GF8, [(1, 0)] * 40 + [(8, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Translation arcs
 
@@ -122,6 +152,12 @@ def test_arc_rejects_collinear_points():
 def test_arc_refuses_out_of_field_coordinates():
     with pytest.raises(FieldError):
         Arc(GF4, [(5, 0, 1), (0, 1, 1), (1, 0, 1)])
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+def test_arc_refuses_non_int_coordinates(bad):
+    with pytest.raises(FieldError):
+        Arc(GF4, [(bad, 0, 1), (0, 1, 1), (1, 0, 1)])
 
 
 def test_arc_normalizes_its_points():
@@ -873,6 +909,24 @@ def test_enumerate_arc_subgroups_is_filtered_enumeration(r):
 
     want = [b for d in dims for b in enumerate_subgroups(spec, d) if distinct_slopes(b)]
     assert list(arcs.enumerate_arc_subgroups(spec, dims)) == want
+
+
+def test_translation_arcs_and_directions_match_checked_oracle():
+    # every arc group at r <= 3, from the origin and from an off-origin
+    # base: the orbit through Arc's checked constructor, and the meets of
+    # its secants with the line at infinity through the public routines
+    groups = [subgroup_make(spec, basis) for spec in (GF4, GF8)
+              for basis in arcs.enumerate_arc_subgroups(spec, (2, 3, 4))]
+    assert len(groups) == 1122
+    for g in groups:
+        spec = g.spec
+        for base in ((0, 0, 1), (spec.q - 1, 1, 1)):
+            orbit = [pp.apply_point(spec, pp.elation(spec, a, b), base)
+                     for a, b in g.elements]
+            assert translation_arc(g, base).points == Arc(spec, orbit).points
+            meets = {pp.meet(spec, pp.line_through(spec, p, q), pp.LINE_AT_INFINITY)
+                     for p, q in combinations(orbit, 2)}
+            assert secant_directions(g) == tuple(sorted(meets))
 
 
 def test_enumerate_arc_subgroups_r4_count():

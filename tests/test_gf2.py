@@ -110,6 +110,18 @@ def test_gf2_uses_x_plus_one():
     assert spec.q == 2
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, False], ids=repr)
+def test_elements_must_be_ints(bad):
+    # a float, str or bool is no element, even when it compares in range
+    spec = field_make(3)
+    with pytest.raises(FieldError):
+        spec.check(bad)
+    with pytest.raises(FieldError):
+        spec.mul(bad, 2)
+    with pytest.raises(FieldError):
+        spec.mul(2, bad)
+
+
 def test_degree_out_of_range():
     with pytest.raises(FieldError):
         field_make(0)

@@ -74,6 +74,14 @@ def test_line_through_repeated_point_rejected():
         pp.line_through(GF8, (1, 1, 1), (1, 1, 1))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "3", True, False], ids=repr)
+def test_normalize_refuses_non_int_coordinates(bad):
+    # an affine point would come back unscaled, with the value passed through
+    for point in ((bad, 0, 1), (0, bad, 1), (1, 1, bad)):
+        with pytest.raises(FieldError):
+            pp.normalize(GF8, point)
+
+
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_public_incidence_rejects_bad_coordinates(bad):
     # -1 would read log[-1] and q would index past the log table; both are
