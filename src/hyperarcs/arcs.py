@@ -77,22 +77,20 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     """The subgroup spanned by the basis pairs, each checked as a pair of
     field elements (FieldError otherwise, before any independence test).
 
-    The span is built as a list that each generator doubles, so it has
-    2^len(basis) entries, and the generators are F2-independent exactly
-    when those entries are distinct: one set over the finished span decides
-    (ArcError otherwise).  More than 2r generators are dependent in the
-    2r-dimensional F_q x F_q, and are refused before any doubling, so the
-    list never outgrows the q^2 pairs."""
+    The span is built as a list that each generator doubles.  A generator
+    is F2-independent of those before it exactly when it is not in their
+    span, and then its coset is disjoint from that span, so the generators
+    are independent when none is found in the span built so far; the first
+    one found is refused (ArcError) before it doubles anything, so the list
+    never outgrows the q^2 pairs."""
     basis = tuple([(a, b) for a, b in basis])
     for a, b in basis:
         spec.check(a, b)
-    if len(basis) > 2 * spec.r:
-        raise ArcError("generators are not F2-independent")
     elements = [(0, 0)]
     for a, b in basis:
+        if (a, b) in elements:
+            raise ArcError("generators are not F2-independent")
         elements += [(a ^ x, b ^ y) for x, y in elements]
-    if len(set(elements)) != len(elements):
-        raise ArcError("generators are not F2-independent")
     elements.sort()
     return AdditiveSubgroup(spec, basis, tuple(elements))
 
@@ -160,12 +158,11 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
         raise ArcError("base point must be affine")
     if not is_translation_arc_group(group):
         raise ArcError("orbit is not an arc: two elements of G share a direction")
-    x, y = base[0], base[1]
-    points = [(a ^ x, b ^ y, 1) for a, b in group.elements]
-    points.sort()
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
-    object.__setattr__(arc, "points", tuple(points))
+    object.__setattr__(
+        arc, "points", tuple(sorted((a ^ base[0], b ^ base[1], 1) for a, b in group.elements))
+    )
     return arc
 
 
@@ -259,8 +256,7 @@ def _directions(group: AdditiveSubgroup) -> set[int]:
     start at (0, 0), with q standing for b = 0."""
     spec = group.spec
     q, exp, log = spec.q, spec.exp, spec.log
-    shift = q - 1
-    return {exp[log[a] + shift - log[b]] if b else q for a, b in group.elements[1:]}
+    return {exp[log[a] + q - 1 - log[b]] if b else q for a, b in group.elements[1:]}
 
 
 def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
@@ -690,9 +686,15 @@ def _echelon_bases(spec: FieldSpec, dims, key):
     it: a span that repeats a key stays a subset of every span extending
     it.  Each level reads the keys of the elements e ^ v that its choices v
     would add one span element e at a time, for all its choices at once, so
-    a choice is tested by one set union.  At the innermost level no span or
-    key set is grown: one list comprehension builds the bases whose first
-    vector passes, in choice order, for a single yield from."""
+    a choice is tested by one set union; at the innermost level no span or
+    key set is grown, and each basis whose first vector passes is yielded
+    as it is found.
+
+    Memory: the choice lists hold up to 2^(2r-1) vectors, and each level
+    holds its key columns, len(span) x len(choices) keys, up to 2^(2r-1)
+    again at the innermost level, all built before that level's first
+    basis.  enumerate_subgroups at r = 10, dimension 1 or 2, holds about
+    40-50 MiB and takes about 0.1 s before its first basis."""
     r, q = spec.r, spec.q
 
     def extend(level, choices, span, keys, tail):
@@ -701,8 +703,9 @@ def _echelon_bases(spec: FieldSpec, dims, key):
         news = zip(vecs, zip(*[[key[e ^ v] for v in vecs] for e in span]))
         size = len(keys) + len(span)
         if not level:
-            yield from [((v & (q - 1), v >> r),) + tail
-                        for v, new in news if len(keys.union(new)) == size]
+            for v, new in news:
+                if len(keys.union(new)) == size:
+                    yield ((v & (q - 1), v >> r),) + tail
             return
         for v, new in news:
             grown = keys.union(new)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 from math import gcd
 
@@ -85,15 +86,29 @@ def test_non_int_after_dependent_pair_is_field_error(bad):
         subgroup_make(GF8, [(1, 0), (1, 0), (bad, 1)])
 
 
-def test_more_generators_than_the_dimension_are_refused_after_checking():
-    # 2r + 1 pairs are dependent in F_q x F_q; they are refused before the
-    # span is doubled, but a pair outside the field is still the error
-    assert len(subgroup_make(GF8, [(1 << i, 0) for i in range(3)] +
-                             [(0, 1 << i) for i in range(3)]).elements) == 64
+def test_repeated_generators_are_refused_after_checking():
+    # a full basis of F_q x F_q spans all q^2 pairs; one more pair, or a
+    # repeated one, is dependent, but a pair outside the field is still the error
+    full = [(1 << i, 0) for i in range(3)] + [(0, 1 << i) for i in range(3)]
+    assert len(subgroup_make(GF8, full).elements) == 64
+    with pytest.raises(ArcError):
+        subgroup_make(GF8, full + [(5, 3)])
     with pytest.raises(ArcError):
         subgroup_make(GF8, [(1, 0)] * 40)
     with pytest.raises(FieldError):
         subgroup_make(GF8, [(1, 0)] * 40 + [(8, 0)])
+
+
+def test_dependent_generator_is_refused_before_the_span_grows():
+    # the span stops at the first dependent generator: 32 copies of one
+    # pair at r = 16 would otherwise double it to 2^32 pairs
+    gf4096, gf65536 = field_make(12), field_make(16)
+    start = time.perf_counter()
+    with pytest.raises(ArcError):
+        subgroup_make(gf65536, [(1, 0)] * 32)
+    with pytest.raises(ArcError):
+        subgroup_make(gf4096, [(1 << i, 0) for i in range(12)] + [(1, 0)] * 12)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
