@@ -25,6 +25,7 @@ from hyperarcs import projplane as pp
 from hyperarcs.projplane import (
     LINE_AT_INFINITY,
     ORIGIN,
+    GeometryError,
     Line,
     Point,
     _collinear_triple,
@@ -53,14 +54,30 @@ Pair = tuple[int, int]
 
 
 class AdditiveSubgroup(Record):
-    """An F2-subspace of F_q x F_q, presented by a basis of pairs."""
+    """An F2-subspace of F_q x F_q, presented by a basis of pairs and its
+    elements, sorted, so (0, 0) first.
 
-    __slots__ = ("spec", "basis", "elements")
+    The constructor also records the directions of the nonzero elements,
+    the points (a : b : 0) where the secants of the orbit arc meet the line
+    at infinity, as an int bitmask: bit d for the direction a/b, and bit q
+    for b = 0.  is_translation_arc_group, translation_arc and
+    secant_directions read it, so a group's directions are derived once.  It
+    is an int, not a set, because an int of q + 1 bits is far smaller than a
+    set of up to q + 1 ints, and a sweep holds a thousand groups at once.
+    Equality and hashing read the spec, basis and elements only."""
+
+    __slots__ = ("spec", "basis", "elements", "_directions")
 
     def __init__(self, spec: FieldSpec, basis: tuple[Pair, ...], elements: tuple[Pair, ...]):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "elements", elements)
+        q, exp, log = spec.q, spec.exp, spec.log
+        shift = q - 1
+        directions = 0
+        for a, b in elements[1:]:
+            directions |= 1 << (exp[log[a] + shift - log[b]] if b else q)
+        object.__setattr__(self, "_directions", directions)
 
     def _key(self) -> tuple:
         return self.spec, self.basis, self.elements
@@ -83,7 +100,10 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     are independent when none is found in the span built so far; the first
     one found is refused (ArcError) before it doubles anything, so the list
     never outgrows the q^2 pairs."""
-    basis = tuple([(a, b) for a, b in basis])
+    try:
+        basis = tuple([(a, b) for a, b in basis])
+    except (TypeError, ValueError):
+        raise ArcError(f"basis {basis!r} is not a sequence of pairs") from None
     for a, b in basis:
         spec.check(a, b)
     elements = [(0, 0)]
@@ -150,19 +170,24 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
     """Orbit of an affine base point under the translations indexed by G.
 
     The direction count decides whether the orbit is an arc (see
-    is_translation_arc_group), so the orbit is not swept for collinear
-    triples, and its points, affine and normalized, bypass Arc's checks."""
+    is_translation_arc_group), read from G's direction bitmask, so the
+    orbit is not swept for collinear triples, and its points, affine and
+    normalized, bypass Arc's checks.  They are the elements of G, sorted,
+    translated by the base (x, y); XOR with (0, 0) keeps that order, so
+    only an orbit through another base is sorted again."""
     spec = group.spec
-    base = pp.normalize(spec, base)
-    if base[2] != 1:
+    x, y, z = pp.normalize(spec, base)
+    if z != 1:
         raise ArcError("base point must be affine")
     if not is_translation_arc_group(group):
         raise ArcError("orbit is not an arc: two elements of G share a direction")
+    if x or y:
+        points = tuple(sorted([(a ^ x, b ^ y, 1) for a, b in group.elements]))
+    else:
+        points = tuple([(a, b, 1) for a, b in group.elements])
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
-    object.__setattr__(
-        arc, "points", tuple(sorted((a ^ base[0], b ^ base[1], 1) for a, b in group.elements))
-    )
+    object.__setattr__(arc, "points", points)
     return arc
 
 
@@ -251,26 +276,43 @@ def secants(arc: Arc) -> tuple[Line, ...]:
     )
 
 
-def _directions(group: AdditiveSubgroup) -> set[int]:
-    """The directions a/b of the nonzero (a, b) in G, whose sorted elements
-    start at (0, 0), with q standing for b = 0."""
-    spec = group.spec
-    q, exp, log = spec.q, spec.exp, spec.log
-    return {exp[log[a] + q - 1 - log[b]] if b else q for a, b in group.elements[1:]}
-
-
 def secant_directions(group: AdditiveSubgroup) -> tuple[Point, ...]:
     """Points at infinity met by the secants of the orbit arc: (a/b, 1, 0),
-    or (1, 0, 0) when b = 0, for each nonzero (a, b) in G."""
+    or (1, 0, 0) when b = 0, for each nonzero (a, b) in G; read off G's
+    direction bitmask, lowest bit first."""
     q = group.spec.q
-    points = [(d, 1, 0) if d < q else (1, 0, 0) for d in _directions(group)]
-    points.sort()
+    mask = group._directions
+    points = []
+    rest = mask & ((1 << q) - 1)
+    while rest:
+        low = rest & -rest
+        points.append((low.bit_length() - 1, 1, 0))
+        rest ^= low
+    if mask >> q:
+        # sorted, (1, 0, 0) falls between (0, 1, 0) and (1, 1, 0)
+        points.insert(mask & 1, (1, 0, 0))
     return tuple(points)
 
 
 def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
     """True when the line avoids the arc and the secants cut it in exactly
     k - 1 points (the minimum possible for a k-arc).
+
+    The line is checked as pp.normalize checks a point: GeometryError when
+    it is not a triple or is the zero triple, FieldError for a coordinate
+    outside the field.  It need not be normalized."""
+    try:
+        x, y, z = line
+    except (TypeError, ValueError):
+        raise GeometryError(f"line {line!r} is not a triple") from None
+    arc.spec.check(x, y, z)
+    if not (x or y or z):
+        raise GeometryError("zero triple is not a projective line")
+    return _is_hyperfocused_line(arc, line)
+
+
+def _is_hyperfocused_line(arc: Arc, line: Line) -> bool:
+    """is_hyperfocused_line of a checked line.
 
     The secant pq meets the line l at l x (p x q) = (l.q) p + (l.p) q
     (characteristic two), so the k dot products l.p are taken once, from
@@ -307,7 +349,7 @@ def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
 def hyperfocused_lines(arc: Arc) -> list[Line]:
     if len(arc) < 3:
         raise ArcError("hyperfocus needs at least three points")
-    return [l for l in pp.all_lines(arc.spec) if is_hyperfocused_line(arc, l)]
+    return [l for l in pp.all_lines(arc.spec) if _is_hyperfocused_line(arc, l)]
 
 
 # ---------------------------------------------------------------------------
@@ -688,30 +730,35 @@ def _echelon_bases(spec: FieldSpec, dims, key):
     would add one span element e at a time, for all its choices at once, so
     a choice is tested by one set union; at the innermost level no span or
     key set is grown, and each basis whose first vector passes is yielded
-    as it is found.
+    as it is found, its first pair prepended to the pairs chosen above.
+    That pair, the choice's basis head, is built once per pivot set for
+    every level but the outermost, which runs once per pivot set.
 
     Memory: the choice lists hold up to 2^(2r-1) vectors, and each level
     holds its key columns, len(span) x len(choices) keys, up to 2^(2r-1)
     again at the innermost level, all built before that level's first
-    basis.  enumerate_subgroups at r = 10, dimension 1 or 2, holds about
-    40-50 MiB and takes about 0.1 s before its first basis."""
+    basis; below the outermost level the heads add one tuple per vector.
+    enumerate_subgroups at r = 10 holds about 43 MiB and takes about 0.1 s
+    before its first basis at dimension 1, and about 95 MiB and 0.2-0.3 s at
+    dimension 2, of which the heads of the 2^18 innermost choices take
+    about 45 MiB and 0.1 s."""
     r, q = spec.r, spec.q
 
     def extend(level, choices, span, keys, tail):
-        vecs = choices[level]
-        # each choice v paired with the keys of the elements it adds, e ^ v
-        news = zip(vecs, zip(*[[key[e ^ v] for v in vecs] for e in span]))
+        vecs, heads = choices[level]
+        # the keys of the elements each choice v adds, e ^ v, one tuple per v
+        news = zip(*[[key[e ^ v] for v in vecs] for e in span])
         size = len(keys) + len(span)
         if not level:
-            for v, new in news:
+            for head, new in zip(heads, news):
                 if len(keys.union(new)) == size:
-                    yield ((v & (q - 1), v >> r),) + tail
+                    yield head + tail
             return
-        for v, new in news:
+        for v, head, new in zip(vecs, heads, news):
             grown = keys.union(new)
             if len(grown) == size:
                 yield from extend(level - 1, choices, span + [e ^ v for e in span], grown,
-                                  ((v & (q - 1), v >> r),) + tail)
+                                  head + tail)
 
     for dim in dims:
         if dim == 0:
@@ -724,15 +771,26 @@ def _echelon_bases(spec: FieldSpec, dims, key):
                 for b in range(p):
                     if b not in pivots:
                         vecs += [v | 1 << b for v in vecs]
-                choices.append(vecs)
+                heads = (((v & (q - 1), v >> r),) for v in vecs)
+                # each choice's basis head, built once per pivot set: kept in a
+                # list where its level runs once per choice above it, but not at
+                # the outermost level, the last pivot's, which runs once
+                choices.append((vecs, heads if p == pivots[-1] else list(heads)))
             yield from extend(dim - 1, choices, [0], set(), ())
 
 
 def enumerate_subgroups(spec: FieldSpec, dim: int):
     """All F2-subspaces of F_q x F_q of the given dimension, as basis tuples
     of pairs, one subspace each (reduced echelon enumeration).  Keyed by
-    the elements themselves, no span repeats a key, so none is dropped."""
+    the elements themselves, no span repeats a key, so none is dropped.
+    ArcError unless dim is an int >= 0."""
+    _check_dimension(dim)
     return _echelon_bases(spec, (dim,), range(spec.q * spec.q))
+
+
+def _check_dimension(dim) -> None:
+    if type(dim) is not int or dim < 0:
+        raise ArcError(f"dimension {dim!r} is not a non-negative int")
 
 
 def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
@@ -746,8 +804,9 @@ def is_translation_arc_group(group: AdditiveSubgroup) -> bool:
     b/a, with infinity for a = 0, and the direction a/b, with q for b = 0,
     are both the projective point (a : b), one the reciprocal of the other
     with 0 and infinity swapped, so slopes repeat exactly when directions
-    do."""
-    return len(_directions(group)) == group.order - 1
+    do.  The directions are the set bits of G's direction bitmask, so the
+    test is a popcount."""
+    return group._directions.bit_count() == len(group.elements) - 1
 
 
 def enumerate_arc_subgroups(spec: FieldSpec, dims):
@@ -756,12 +815,19 @@ def enumerate_arc_subgroups(spec: FieldSpec, dims):
     that pass is_translation_arc_group, in the same order.  That test
     depends only on the span, so _echelon_bases keyed by direction drops
     every basis whose first chosen vectors already span a repeated
-    direction."""
+    direction.  ArcError when r > 8 or a dimension is not an int >= 0."""
     if spec.r > 8:
         raise ArcError("exhaustive sweeps are supported for r <= 8")
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise ArcError(f"dims {dims!r} is not a sequence of dimensions") from None
+    for dim in dims:
+        _check_dimension(dim)
     r, q = spec.r, spec.q
     exp, log = spec.exp, spec.log
-    # direction a/b of the element a + b*2^r, with q for b = 0, as in _directions
+    # direction a/b of the element a + b*2^r, with q for b = 0, as in
+    # AdditiveSubgroup's direction bitmask
     direction = [exp[log[v & (q - 1)] + q - 1 - log[v >> r]] if v >> r else q
                  for v in range(q * q)]
     yield from _echelon_bases(spec, dims, direction)

@@ -146,21 +146,20 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     through = [[] for _ in range(k - 1)]
     for p, m in masks.items():
         through[(m & -m).bit_length() - 1].append((p, m))
-    solutions, chosen = [], []
+    solutions = []
 
-    def search(i: int, covered: int):
+    def search(i: int, covered: int, chosen: tuple[Point, ...]):
         if i == k - 1:
-            solutions.append(tuple(chosen))
+            solutions.append(chosen)
             return
         for p, m in through[i]:
             if not m & covered:
-                chosen.append(p)
-                search(i + 1, covered | m)
-                chosen.pop()
+                search(i + 1, covered | m, chosen + (p,))
 
-    search(0, 0)
+    search(0, 0, ())
     out = [BlockingSet(arc.spec, pts) for pts in solutions]
-    out.sort(key=lambda b: b.points)
+    if len(out) > 1:
+        out.sort(key=lambda b: b.points)
     for b in out:
         _assert_minimum_counting(b, masks, k)
     return out

@@ -26,7 +26,10 @@ class GeometryError(ValueError):
 
 
 def normalize(spec: FieldSpec, triple) -> Point:
-    x1, x2, x3 = triple
+    try:
+        x1, x2, x3 = triple
+    except (TypeError, ValueError):
+        raise GeometryError(f"point {triple!r} is not a triple") from None
     spec.check(x1, x2, x3)
     return _normalize_fast(spec, x1, x2, x3)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from itertools import combinations, product
@@ -86,6 +88,13 @@ def test_non_int_after_dependent_pair_is_field_error(bad):
         subgroup_make(GF8, [(1, 0), (1, 0), (bad, 1)])
 
 
+@pytest.mark.parametrize("basis", [[(1, 2, 3)], [1], [(1, 0), (2,)], 5], ids=repr)
+def test_subgroup_refuses_a_basis_of_non_pairs(basis):
+    # unpacking alone would raise a bare ValueError or TypeError
+    with pytest.raises(ArcError, match="basis .* is not a sequence of pairs"):
+        subgroup_make(GF8, basis)
+
+
 def test_repeated_generators_are_refused_after_checking():
     # a full basis of F_q x F_q spans all q^2 pairs; one more pair, or a
     # repeated one, is dependent, but a pair outside the field is still the error
@@ -138,6 +147,11 @@ def test_translation_arc_off_origin():
     arc = translation_arc(g, (3, 5, 1))
     assert (3, 5, 1) in arc
     assert len(arc) == 4
+
+
+def test_translation_arc_refuses_a_base_that_is_not_a_triple():
+    with pytest.raises(pp.GeometryError, match="not a triple"):
+        translation_arc(quad_group(GF8), (1, 2))
 
 
 def test_base_at_infinity_rejected():
@@ -229,6 +243,73 @@ def test_directions_match_secant_hits():
         hits = {pp.meet(GF8, pp.LINE_AT_INFINITY, s) for s in secants(arc)}
         assert hits == set(secant_directions(g))
         assert len(hits) == g.order - 1
+
+
+def brute_directions(g):
+    """The directions a/b of the nonzero elements of G by the checked field
+    division, q standing for b = 0."""
+    spec = g.spec
+    return {spec.div(a, b) if b else spec.q for a, b in g.elements if (a, b) != (0, 0)}
+
+
+def assert_direction_bitmask(g):
+    dirs = brute_directions(g)
+    assert g._directions == sum(1 << d for d in dirs)
+    assert is_translation_arc_group(g) == (len(dirs) == g.order - 1)
+    q = g.spec.q
+    assert secant_directions(g) == tuple(sorted((d, 1, 0) if d < q else (1, 0, 0) for d in dirs))
+
+
+def test_direction_bitmask_matches_brute_force_on_every_small_subgroup():
+    # every subgroup of dimension 0-4 at r <= 3, arc groups and the rest
+    count, verdicts = 0, set()
+    for r in (1, 2, 3):
+        spec = field_make(r)
+        for dim in range(5):
+            for basis in enumerate_subgroups(spec, dim):
+                g = subgroup_make(spec, basis)
+                assert_direction_bitmask(g)
+                verdicts.add(is_translation_arc_group(g))
+                count += 1
+    assert count == 5 + 67 + 2761 and verdicts == {True, False}
+
+
+@pytest.mark.parametrize("r", [9, 10])
+def test_direction_bitmask_matches_brute_force_on_random_subgroups(r):
+    # about half the bases start with elements of direction q, (x, 0), or
+    # 0, (0, y), whose bits are the ends of the mask
+    spec = field_make(r)
+    rng = random.Random(900 + r)
+    ends, verdicts = set(), set()
+    for _ in range(60):
+        basis = [(rng.randrange(1, spec.q), 0), (0, rng.randrange(1, spec.q))]
+        basis = rng.sample(basis, rng.randrange(3))
+        basis += [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(rng.randrange(1, 7))]
+        try:
+            g = subgroup_make(spec, basis)
+        except ArcError:
+            continue
+        assert_direction_bitmask(g)
+        ends.add((g._directions & 1, g._directions >> spec.q))
+        verdicts.add(is_translation_arc_group(g))
+    assert len(ends) == 4 and verdicts == {True, False}
+
+
+def test_direction_bitmask_survives_copy_and_pickle():
+    g = subgroup_make(GF16, [(1, 1), (2, 4), (4, 3)])
+    assert is_translation_arc_group(g)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin._directions == g._directions
+        assert secant_directions(twin) == secant_directions(g)
+        assert translation_arc(twin) == translation_arc(g)
+
+
+def test_subgroup_equality_and_hash_ignore_the_direction_bitmask():
+    g = quad_group(GF8)
+    twin = arcs.AdditiveSubgroup(GF8, g.basis, g.elements)
+    object.__setattr__(twin, "_directions", 0)
+    assert twin == g
+    assert hash(twin) == hash(g) == hash((GF8, g.basis, g.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +404,24 @@ def test_hyperfocus_needs_two_points():
     for pts in ((), ((0, 0, 1),)):
         with pytest.raises(ArcError):
             is_hyperfocused_line(Arc(GF8, pts), line)
+
+
+def test_hyperfocused_line_refuses_out_of_field_coordinate():
+    # 9 would index past GF(8)'s log table
+    with pytest.raises(FieldError):
+        is_hyperfocused_line(translation_arc(quad_group(GF8)), (0, 0, 9))
+
+
+def test_hyperfocused_line_refuses_zero_triple():
+    # the zero triple is no line; it read as one that the arc meets
+    with pytest.raises(pp.GeometryError, match="zero triple"):
+        is_hyperfocused_line(translation_arc(quad_group(GF8)), (0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (0, 0, 1, 0), 1], ids=repr)
+def test_hyperfocused_line_refuses_non_triples(bad):
+    with pytest.raises(pp.GeometryError, match="not a triple"):
+        is_hyperfocused_line(translation_arc(quad_group(GF8)), bad)
 
 
 def test_hyperfocused_membership_matches_full_scan():
@@ -942,6 +1041,24 @@ def test_translation_arcs_and_directions_match_checked_oracle():
             meets = {pp.meet(spec, pp.line_through(spec, p, q), pp.LINE_AT_INFINITY)
                      for p, q in combinations(orbit, 2)}
             assert secant_directions(g) == tuple(sorted(meets))
+
+
+def test_enumerate_subgroups_refuses_negative_dimension():
+    # combinations() would report "r must be non-negative"
+    with pytest.raises(ArcError, match="dimension -1"):
+        list(enumerate_subgroups(GF8, -1))
+
+
+@pytest.mark.parametrize("dims", [(2.0,), (2, -1), (True,), 2], ids=repr)
+def test_enumerate_arc_subgroups_refuses_bad_dimensions(dims):
+    # (2.0,) would raise TypeError from combinations()
+    with pytest.raises(ArcError, match="dimension|dims"):
+        list(arcs.enumerate_arc_subgroups(GF8, dims))
+
+
+def test_enumerate_arc_subgroups_refuses_r_above_8():
+    with pytest.raises(ArcError, match="r <= 8"):
+        list(arcs.enumerate_arc_subgroups(field_make(9), (2,)))
 
 
 def test_enumerate_arc_subgroups_r4_count():

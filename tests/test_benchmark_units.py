@@ -5,8 +5,11 @@ repository root, exactly as ``perfbench/run.py`` starts it, and checks its
 outputs against the workload's expected results (for arcs-sweep, the stored
 ``arc complete --r 6 --s 3`` report among them).  The traced run also
 exercises the tracing harness, which reads results the library returns.
+The tracing harness's patch sites are checked against the library's names.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,3 +38,28 @@ def test_benchmark_selftest_passes():
         cwd=ROOT, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# patch sites whose library names are gone; their per-layer metrics read 0
+STALE_SITES = {("classify", "arc_canonical_form"), ("classify", "ghf_eight")}
+
+
+def test_tracer_patch_sites_resolve_to_library_attributes():
+    # the tracer skips a site whose name it cannot find, so a renamed
+    # library function would silently zero its per-layer metrics
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    sites = [site for span in tracing.SPAN_SITES.values() for site in span]
+    sites += [(mod, attr) if owner is None else (mod, owner, attr)
+              for mod, owner, attr in tracing.COUNT_SITES.values()]
+    sites.append(("arcs", "enumerate_arc_subgroups"))
+    unresolved = set()
+    for mod, *path in sites:
+        obj = importlib.import_module(f"hyperarcs.{mod}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            unresolved.add((mod, *path))
+    assert unresolved == STALE_SITES

@@ -58,6 +58,13 @@ def test_normalize_zero_rejected():
         pp.normalize(GF4, (0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4), 5, None], ids=repr)
+def test_normalize_refuses_non_triples(bad):
+    # unpacking alone would raise a bare ValueError or TypeError
+    with pytest.raises(pp.GeometryError, match="not a triple"):
+        pp.normalize(GF8, bad)
+
+
 # ---------------------------------------------------------------------------
 # Incidence
 
