@@ -25,7 +25,6 @@ from hyperarcs import projplane as pp
 from hyperarcs.projplane import (
     LINE_AT_INFINITY,
     ORIGIN,
-    GeometryError,
     Line,
     Point,
     _collinear_triple,
@@ -87,7 +86,7 @@ class AdditiveSubgroup(Record):
         return len(self.elements)
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in set(self.elements)
+        return pair in self.elements
 
 
 def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
@@ -100,12 +99,7 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
     are independent when none is found in the span built so far; the first
     one found is refused (ArcError) before it doubles anything, so the list
     never outgrows the q^2 pairs."""
-    try:
-        basis = tuple([(a, b) for a, b in basis])
-    except (TypeError, ValueError):
-        raise ArcError(f"basis {basis!r} is not a sequence of pairs") from None
-    for a, b in basis:
-        spec.check(a, b)
+    basis = _read_pairs(spec, basis)
     elements = [(0, 0)]
     for a, b in basis:
         if (a, b) in elements:
@@ -113,6 +107,18 @@ def subgroup_make(spec: FieldSpec, basis) -> AdditiveSubgroup:
         elements += [(a ^ x, b ^ y) for x, y in elements]
     elements.sort()
     return AdditiveSubgroup(spec, basis, tuple(elements))
+
+
+def _read_pairs(spec: FieldSpec, basis) -> tuple[Pair, ...]:
+    """basis as a tuple of pairs of field elements: ArcError unless it is a
+    sequence of pairs, then FieldError for a value."""
+    try:
+        basis = tuple([(a, b) for a, b in basis])
+    except (TypeError, ValueError):
+        raise ArcError(f"basis {basis!r} is not a sequence of pairs") from None
+    for a, b in basis:
+        spec.check(a, b)
+    return basis
 
 
 class Arc(Record):
@@ -135,7 +141,7 @@ class Arc(Record):
         return len(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return p in set(self.points)
+        return p in self.points
 
     def to_json(self) -> dict:
         return {
@@ -298,17 +304,10 @@ def is_hyperfocused_line(arc: Arc, line: Line) -> bool:
     """True when the line avoids the arc and the secants cut it in exactly
     k - 1 points (the minimum possible for a k-arc).
 
-    The line is checked as pp.normalize checks a point: GeometryError when
-    it is not a triple or is the zero triple, FieldError for a coordinate
-    outside the field.  It need not be normalized."""
-    try:
-        x, y, z = line
-    except (TypeError, ValueError):
-        raise GeometryError(f"line {line!r} is not a triple") from None
-    arc.spec.check(x, y, z)
-    if not (x or y or z):
-        raise GeometryError("zero triple is not a projective line")
-    return _is_hyperfocused_line(arc, line)
+    The line is read through pp.normalize, so it need not be normalized:
+    GeometryError when it is not a triple or is the zero triple, FieldError
+    for a coordinate outside the field."""
+    return _is_hyperfocused_line(arc, pp.normalize(arc.spec, line))
 
 
 def _is_hyperfocused_line(arc: Arc, line: Line) -> bool:
@@ -371,8 +370,7 @@ def extend_double(group: AdditiveSubgroup, pair: Pair) -> AdditiveSubgroup:
     and (a, b) outside G, translating by G shows that the doubled orbit has
     a collinear triple iff (a, b, 1) lies on a secant of G's orbit."""
     spec = group.spec
-    a, b = pair
-    spec.check(a, b)
+    (a, b), = _read_pairs(spec, (pair,))
     if (a, b) in group:
         raise ArcError(f"pair {pair} already in the subgroup")
     if not is_translation_arc_group(group):

@@ -61,24 +61,24 @@ class BlockingSet(Record):
 
 
 def _point_masks(spec: FieldSpec, lines, points) -> dict[Point, int]:
-    """Each given point, coordinates checked, mapped to the bitmask of the
-    lines through it (bit i for lines[i]).  By incidence, so the cost does
-    not grow with q, unlike a walk along the lines."""
+    """Each given point, read through pp.normalize, mapped to the bitmask of
+    the lines through it (bit i for lines[i]).  By incidence, so the cost
+    does not grow with q, unlike a walk along the lines."""
     masks = {}
     for p in points:
-        spec.check(*p)
+        p = pp.normalize(spec, p)
         masks[p] = sum(1 << i for i, line in enumerate(lines) if pp._incident(spec, p, line))
     return masks
 
 
 def is_blocking(arc: Arc, points) -> bool:
     """Every secant meets the point set; the set must avoid the arc."""
-    pts = set(points)
-    if pts & set(arc.points):
-        raise BlockingError("blocking set intersects the arc")
     lines = secants(arc)
+    masks = _point_masks(arc.spec, lines, points)
+    if not masks.keys().isdisjoint(arc.points):
+        raise BlockingError("blocking set intersects the arc")
     covered = 0
-    for mask in _point_masks(arc.spec, lines, pts).values():
+    for mask in masks.values():
         covered |= mask
     return covered == (1 << len(lines)) - 1
 
@@ -297,7 +297,7 @@ def is_doubled_quadrangle(arc: Arc) -> bool:
 def is_fano_configuration(spec: FieldSpec, points) -> bool:
     """Seven points forming a subplane of order 2: every line through two
     of them contains exactly one more."""
-    pts = sorted(set(points))
+    pts = sorted({pp.normalize(spec, p) for p in points})
     if len(pts) != 7:
         return False
     for p, q in combinations(pts, 2):

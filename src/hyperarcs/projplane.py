@@ -76,19 +76,26 @@ def _cross(exp, log, u, v) -> tuple[int, int, int]:
     )
 
 
-# Each public name below checks its coordinates, then calls the unchecked
+# Each public name below reads the points and lines it is given through
+# normalize and the matrices through _read_matrix, then calls the unchecked
 # kernel of the same name with a leading underscore; library code calls the
-# kernels.
+# kernels.  So a public name raises GeometryError for a point or line that
+# is not a triple or is the zero triple, or a matrix that is not 3x3, and
+# FieldError for a value outside the field.
 
 
-def _check_matrix(spec: FieldSpec, mat) -> None:
-    for row in mat:
-        spec.check(*row)
+def _read_matrix(spec: FieldSpec, rows) -> Matrix:
+    """rows as three rows of three field values, zeros allowed."""
+    try:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+    except (TypeError, ValueError):
+        raise GeometryError(f"matrix {rows!r} is not 3x3") from None
+    spec.check(a, b, c, d, e, f, g, h, i)
+    return ((a, b, c), (d, e, f), (g, h, i))
 
 
 def incident(spec: FieldSpec, point: Point, line: Line) -> bool:
-    spec.check(*point, *line)
-    return _incident(spec, point, line)
+    return _incident(spec, normalize(spec, point), normalize(spec, line))
 
 
 def _incident(spec: FieldSpec, point: Point, line: Line) -> bool:
@@ -96,8 +103,7 @@ def _incident(spec: FieldSpec, point: Point, line: Line) -> bool:
 
 
 def line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
-    spec.check(*p, *q)
-    return _line_through(spec, p, q)
+    return _line_through(spec, normalize(spec, p), normalize(spec, q))
 
 
 def _line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
@@ -107,8 +113,7 @@ def _line_through(spec: FieldSpec, p: Point, q: Point) -> Line:
 
 
 def meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
-    spec.check(*l1, *l2)
-    return _meet(spec, l1, l2)
+    return _meet(spec, normalize(spec, l1), normalize(spec, l2))
 
 
 def _meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
@@ -118,8 +123,7 @@ def _meet(spec: FieldSpec, l1: Line, l2: Line) -> Point:
 
 
 def matrix_det(spec: FieldSpec, rows) -> int:
-    _check_matrix(spec, rows)
-    return _matrix_det(spec, rows)
+    return _matrix_det(spec, _read_matrix(spec, rows))
 
 
 def _matrix_det(spec: FieldSpec, rows) -> int:
@@ -128,8 +132,7 @@ def _matrix_det(spec: FieldSpec, rows) -> int:
 
 
 def collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
-    spec.check(*p, *q, *r)
-    return _collinear(spec, p, q, r)
+    return _collinear(spec, normalize(spec, p), normalize(spec, q), normalize(spec, r))
 
 
 def _collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
@@ -138,10 +141,7 @@ def _collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
 
 def is_linear(spec: FieldSpec, points) -> bool:
     """True when the points all lie on one line."""
-    points = tuple(points)
-    for p in points:
-        spec.check(*p)
-    return _is_linear(spec, points)
+    return _is_linear(spec, [normalize(spec, p) for p in points])
 
 
 def _is_linear(spec: FieldSpec, points) -> bool:
@@ -180,8 +180,7 @@ def all_lines(spec: FieldSpec) -> list[Line]:
 def line_points(spec: FieldSpec, line: Line) -> list[Point]:
     """The q + 1 points of a line, normalized: (c + t m, t, 1), (t, y, 1)
     or (t, 1, 0) for t over the field, then the one point left."""
-    spec.check(*line)
-    return _line_points(spec, line)
+    return _line_points(spec, normalize(spec, line))
 
 
 def _line_points(spec: FieldSpec, line: Line) -> list[Point]:
@@ -218,17 +217,14 @@ def _scale_matrix(spec: FieldSpec, rows) -> Matrix:
 
 
 def matrix_make(spec: FieldSpec, rows) -> Matrix:
-    rows = tuple(tuple(row) for row in rows)
-    _check_matrix(spec, rows)
+    rows = _read_matrix(spec, rows)
     if _matrix_det(spec, rows) == 0:
         raise GeometryError("singular matrix is not a projectivity")
     return _scale_matrix(spec, rows)
 
 
 def apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
-    _check_matrix(spec, mat)
-    spec.check(*p)
-    return _apply_point(spec, mat, p)
+    return _apply_point(spec, _read_matrix(spec, mat), normalize(spec, p))
 
 
 def _apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
@@ -240,9 +236,7 @@ def _apply_point(spec: FieldSpec, mat: Matrix, p: Point) -> Point:
 
 def compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
     """The projectivity applying g first, then f (matrix product f @ g)."""
-    _check_matrix(spec, f)
-    _check_matrix(spec, g)
-    return _compose(spec, f, g)
+    return _compose(spec, _read_matrix(spec, f), _read_matrix(spec, g))
 
 
 def _compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
@@ -255,8 +249,7 @@ def _compose(spec: FieldSpec, f: Matrix, g: Matrix) -> Matrix:
 
 def inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
     """The adjugate, which is the inverse up to the (dropped) factor det."""
-    _check_matrix(spec, mat)
-    return _inverse(spec, mat)
+    return _inverse(spec, _read_matrix(spec, mat))
 
 
 def _inverse(spec: FieldSpec, mat: Matrix) -> Matrix:
@@ -293,8 +286,7 @@ def center(spec: FieldSpec, mat: Matrix) -> Point:
     Rejects matrices that do not fix the line at infinity pointwise, and
     the identity (every point is fixed, no center).
     """
-    _check_matrix(spec, mat)
-    return _center(spec, mat)
+    return _center(spec, _read_matrix(spec, mat))
 
 
 def _center(spec: FieldSpec, mat: Matrix) -> Point:
@@ -336,20 +328,18 @@ def _to_standard_frame(spec: FieldSpec, p1, p2, p3, p4) -> Matrix:
                          row0[2] ^ row1[2] ^ row2[2]))
 
 
-def _check_frame(spec: FieldSpec, pts) -> None:
+def _read_frame(spec: FieldSpec, pts) -> tuple[Point, ...]:
+    pts = tuple([normalize(spec, p) for p in pts])
     if len(pts) != 4:
         raise GeometryError("a frame has four points")
-    for p in pts:
-        spec.check(*p)
     if _collinear_triple(spec, pts) is not None:
         raise GeometryError("frame points are not in general position")
+    return pts
 
 
 def frame_map(spec: FieldSpec, sources, targets) -> Matrix:
     """The unique projectivity sending one 4-point frame to another, in order."""
-    sources, targets = tuple(sources), tuple(targets)
-    _check_frame(spec, sources)
-    _check_frame(spec, targets)
+    sources, targets = _read_frame(spec, sources), _read_frame(spec, targets)
     return _compose(
         spec,
         _inverse(spec, _to_standard_frame(spec, *targets)),

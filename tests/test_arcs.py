@@ -459,6 +459,19 @@ def test_extend_double_rejects_covered_point():
         extend_double(g, (p[0], p[1]))
 
 
+@pytest.mark.parametrize(
+    "pair, error",
+    [((1, 2, 3), ArcError), (1, ArcError), (None, ArcError), ((0, 8), FieldError),
+     ((0, 1.0), FieldError)],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_extend_double_reads_its_pair_as_subgroup_make_does(pair, error):
+    # unpacking alone would raise a bare ValueError or TypeError
+    with pytest.raises(error) as info:
+        extend_double(quad_group(GF8), pair)
+    assert type(info.value) is error
+
+
 def test_extend_double_from_trivial_group():
     g = subgroup_make(GF8, [])
     g2 = extend_double(g, (3, 4))

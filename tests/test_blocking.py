@@ -95,6 +95,12 @@ def test_blocking_set_must_avoid_arc():
         is_blocking(arc, ((0, 0, 1),))
 
 
+def test_blocking_set_must_avoid_arc_given_as_a_multiple():
+    # (3, 3, 3) is the arc point (1, 1, 1) of GF(4)'s quadrangle
+    with pytest.raises(BlockingError, match="intersects the arc"):
+        is_blocking(quad_arc(GF4), [(3, 3, 3)])
+
+
 def test_blocking_checks_reject_bad_coordinates():
     arc = quad_arc(GF8)
     for bad in (-1, 8):

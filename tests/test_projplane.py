@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
+from hyperarcs import arcs, blocking
 
 
 GF4 = field_make(2)
@@ -122,6 +124,123 @@ def test_public_incidence_rejects_bad_coordinates(bad):
             pp.compose(GF4, f, g)
     with pytest.raises(FieldError):
         pp.center(GF4, ((bad, 0, 0), (0, bad, 0), (0, 0, 1)))
+
+
+# Points, lines and matrices that no public name may read, each with the one
+# error it must raise: GeometryError for the shape, FieldError for a value.
+BAD_TRIPLES = [
+    ((1, 2), pp.GeometryError),
+    ((1, 2, 1, 5), pp.GeometryError),
+    (None, pp.GeometryError),
+    (7, pp.GeometryError),
+    ((0, 0, 0), pp.GeometryError),
+    ((0, 8, 1), FieldError),
+]
+BAD_MATRICES = [
+    (((1, 0), (0, 1)), pp.GeometryError),
+    (((1, 0, 0), (0, 1, 0)), pp.GeometryError),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1, 0)), pp.GeometryError),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 8)), FieldError),
+]
+
+_P, _L, _M, _F = (1, 1, 1), (0, 0, 1), pp.IDENTITY, pp.STANDARD_FRAME
+_QUAD = arcs.subgroup_make(GF8, [(0, 1), (1, 0)])
+_ARC = arcs.translation_arc(_QUAD)
+
+# Each public name that reads a point or line, or a matrix, from its caller,
+# as one call per argument position with that argument left open.
+TRIPLE_READERS = {
+    "normalize": [lambda x: pp.normalize(GF8, x)],
+    "point_from_json": [lambda x: pp.point_from_json(GF8, x)],
+    "incident": [lambda x: pp.incident(GF8, x, _L), lambda x: pp.incident(GF8, _P, x)],
+    "line_through": [
+        lambda x: pp.line_through(GF8, x, _P), lambda x: pp.line_through(GF8, _P, x)
+    ],
+    "meet": [lambda x: pp.meet(GF8, x, _L), lambda x: pp.meet(GF8, _L, x)],
+    "collinear": [
+        lambda x: pp.collinear(GF8, x, _P, _L),
+        lambda x: pp.collinear(GF8, _P, x, _L),
+        lambda x: pp.collinear(GF8, _P, _L, x),
+    ],
+    "is_linear": [lambda x: pp.is_linear(GF8, [_P, x])],
+    "line_points": [lambda x: pp.line_points(GF8, x)],
+    "apply_point": [lambda x: pp.apply_point(GF8, _M, x)],
+    "frame_map": [
+        lambda x: pp.frame_map(GF8, _F[:3] + (x,), _F),
+        lambda x: pp.frame_map(GF8, _F, _F[:3] + (x,)),
+    ],
+    "arcs.is_hyperfocused_line": [lambda x: arcs.is_hyperfocused_line(_ARC, x)],
+    "blocking.is_blocking": [lambda x: blocking.is_blocking(_ARC, [x])],
+    "blocking.is_fano_configuration": [
+        lambda x: blocking.is_fano_configuration(GF8, pp.all_points(GF8)[:6] + [x])
+    ],
+}
+MATRIX_READERS = {
+    "matrix_det": [lambda m: pp.matrix_det(GF8, m)],
+    "matrix_make": [lambda m: pp.matrix_make(GF8, m)],
+    "apply_point": [lambda m: pp.apply_point(GF8, m, _P)],
+    "compose": [lambda m: pp.compose(GF8, m, _M), lambda m: pp.compose(GF8, _M, m)],
+    "inverse": [lambda m: pp.inverse(GF8, m)],
+    "center": [lambda m: pp.center(GF8, m)],
+    "blocking.ghf_construct": [lambda m: blocking.ghf_construct(_QUAD, m)],
+}
+# Public names that read no point, line or matrix, or (the JSON writers) only
+# the library's own points, with no field to check them against.
+READS_NO_GEOMETRY = {
+    "all_points", "all_lines", "elation", "homology", "point_to_json", "line_to_json"
+}
+
+
+def test_every_public_projplane_name_is_listed():
+    # a public name added later must be listed, and then is tested below
+    public = {
+        name
+        for name, f in inspect.getmembers(pp, inspect.isfunction)
+        if f.__module__ == pp.__name__ and not name.startswith("_")
+    }
+    listed = {name for name in TRIPLE_READERS.keys() | MATRIX_READERS.keys() if "." not in name}
+    assert public == listed | READS_NO_GEOMETRY
+    assert not listed & READS_NO_GEOMETRY
+
+
+def _misreads(calls, cases) -> list:
+    """(argument position, bad value, outcome) for each call that does not
+    raise exactly the expected error; a bare IndexError or ValueError is one."""
+    wrong = []
+    for i, call in enumerate(calls):
+        for bad, error in cases:
+            try:
+                call(bad)
+            except Exception as exc:
+                if type(exc) is not error:
+                    wrong.append((i, bad, repr(exc)))
+            else:
+                wrong.append((i, bad, "no error"))
+    return wrong
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLE_READERS))
+def test_public_names_refuse_bad_points_and_lines(name):
+    assert _misreads(TRIPLE_READERS[name], BAD_TRIPLES) == []
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_READERS))
+def test_public_names_refuse_bad_matrices(name):
+    assert _misreads(MATRIX_READERS[name], BAD_MATRICES) == []
+
+
+def test_matrices_may_hold_zeros():
+    # the shape check is of three rows of three values, not of invertibility
+    assert pp.matrix_det(GF8, ((0, 0, 0), (0, 1, 0), (0, 0, 1))) == 0
+    assert pp.matrix_det(GF8, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+
+
+def test_public_names_read_multiples_as_one_point():
+    # normalized first, (2, 2, 2) is (1, 1, 1): one point, not two
+    assert pp.is_linear(GF8, [(1, 1, 1), (2, 2, 2), (1, 0, 0)])
+    with pytest.raises(pp.GeometryError, match="repeated point"):
+        pp.line_through(GF8, (1, 1, 1), (2, 2, 2))
+    assert pp.line_points(GF8, (0, 2, 2)) == pp.line_points(GF8, (0, 1, 1))
 
 
 def test_collinear_at_infinity():
@@ -324,7 +443,7 @@ def test_frame_map_degenerate_rejected():
         (((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0)), "not in general position"),
         # one point twice, literally or as a multiple, and the zero triple
         (((1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)), "repeated point"),
-        (((1, 1, 1), (0, 1, 0), (0, 0, 1), (2, 2, 2)), "zero triple"),
+        (((1, 1, 1), (0, 1, 0), (0, 0, 1), (2, 2, 2)), "repeated point"),
         (((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), "zero triple"),
         (pp.STANDARD_FRAME[:3], "four points"),
         (pp.STANDARD_FRAME + ((1, 2, 1),), "four points"),
