@@ -1,9 +1,17 @@
 """Read-only value records.
 
-A subclass lists its fields in ``__slots__``, sets each once in ``__init__``
-through ``object.__setattr__``, and returns from ``_key`` the field values
-that equality and hashing read.  Assigning or deleting an attribute later
-raises AttributeError; copy and pickle still work.
+A subclass lists its fields in ``__slots__``.  Its constructor takes one
+value per slot, in slot order, and sets each once; a subclass that checks
+or derives its values first passes them on to ``Record.__init__``.
+Equality and hashing read ``_key``, by default every slot; a subclass with
+derived slots overrides it to return the slots that define the value.
+Assigning or deleting an attribute later raises AttributeError; copy and
+pickle still work.
+
+Three constructions write their slots through ``object.__setattr__``
+instead: AdditiveSubgroup, the arc translation_arc builds, and BlockingSet.
+A translation-arc sweep builds each of them hundreds to thousands of
+times, and the generic loop costs about 0.3 us more per construction.
 """
 
 from __future__ import annotations
@@ -12,8 +20,15 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

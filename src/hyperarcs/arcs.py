@@ -68,6 +68,7 @@ class AdditiveSubgroup(Record):
     __slots__ = ("spec", "basis", "elements", "_directions")
 
     def __init__(self, spec: FieldSpec, basis: tuple[Pair, ...], elements: tuple[Pair, ...]):
+        # slots written directly, not by Record.__init__: a sweep builds thousands
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "elements", elements)
@@ -127,15 +128,11 @@ class Arc(Record):
     __slots__ = ("spec", "points")
 
     def __init__(self, spec: FieldSpec, points: tuple[Point, ...]):
-        pts = tuple(sorted({pp.normalize(spec, p) for p in points}))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "points", pts)
+        pts = tuple(sorted(set(pp._read_points(spec, points))))
         witness = _collinear_triple(spec, pts)
         if witness is not None:
             raise CollinearError(spec, witness)
-
-    def _key(self) -> tuple:
-        return self.spec, self.points
+        super().__init__(spec, pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -191,6 +188,7 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
         points = tuple(sorted([(a ^ x, b ^ y, 1) for a, b in group.elements]))
     else:
         points = tuple([(a, b, 1) for a, b in group.elements])
+    # slots set directly, past Arc.__init__'s checks: a sweep builds thousands
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
     object.__setattr__(arc, "points", points)
@@ -587,23 +585,11 @@ def translation_superarcs(group: AdditiveSubgroup) -> list[Arc]:
 # Completion: arcs in no hyperoval and no proper subplane
 
 
-class CompletionReport:
+class CompletionReport(Record):
     """Certificate from the doubling-to-completeness procedure."""
 
     __slots__ = ("spec", "arc", "seed_size", "chosen", "uncovered_empty",
                  "hyperoval_verdict", "subplane_verdict", "superarc_count")
-
-    def __init__(self, spec: FieldSpec, arc: Arc, seed_size: int, chosen: tuple[Pair, ...],
-                 uncovered_empty: bool, hyperoval_verdict: str, subplane_verdict: str,
-                 superarc_count: int):
-        self.spec = spec
-        self.arc = arc
-        self.seed_size = seed_size
-        self.chosen = chosen
-        self.uncovered_empty = uncovered_empty
-        self.hyperoval_verdict = hyperoval_verdict
-        self.subplane_verdict = subplane_verdict
-        self.superarc_count = superarc_count
 
     def to_json(self) -> dict:
         return {
@@ -654,14 +640,7 @@ def build_complete_translation_arc(r: int, s: int) -> CompletionReport:
     arc = translation_arc(group)
     hyper, _ = _complete_hyperoval(arc, at_infinity)
     return CompletionReport(
-        spec=spec,
-        arc=arc,
-        seed_size=seed_size,
-        chosen=tuple(chosen),
-        uncovered_empty=True,
-        hyperoval_verdict=hyper,
-        subplane_verdict=subplane_bound(arc),
-        superarc_count=len(superarcs),
+        spec, arc, seed_size, tuple(chosen), True, hyper, subplane_bound(arc), len(superarcs)
     )
 
 

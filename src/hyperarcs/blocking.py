@@ -39,11 +39,9 @@ class BlockingSet(Record):
     __slots__ = ("spec", "points")
 
     def __init__(self, spec: FieldSpec, points: tuple[Point, ...]):
+        # slots written directly, not by Record.__init__: a sweep builds hundreds
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "points", tuple(sorted(set(points))))
-
-    def _key(self) -> tuple:
-        return self.spec, self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -61,12 +59,11 @@ class BlockingSet(Record):
 
 
 def _point_masks(spec: FieldSpec, lines, points) -> dict[Point, int]:
-    """Each given point, read through pp.normalize, mapped to the bitmask of
-    the lines through it (bit i for lines[i]).  By incidence, so the cost
+    """Each given point, read through pp._read_points, mapped to the bitmask
+    of the lines through it (bit i for lines[i]).  By incidence, so the cost
     does not grow with q, unlike a walk along the lines."""
     masks = {}
-    for p in points:
-        p = pp.normalize(spec, p)
+    for p in pp._read_points(spec, points):
         masks[p] = sum(1 << i for i, line in enumerate(lines) if pp._incident(spec, p, line))
     return masks
 
@@ -297,7 +294,7 @@ def is_doubled_quadrangle(arc: Arc) -> bool:
 def is_fano_configuration(spec: FieldSpec, points) -> bool:
     """Seven points forming a subplane of order 2: every line through two
     of them contains exactly one more."""
-    pts = sorted({pp.normalize(spec, p) for p in points})
+    pts = sorted(set(pp._read_points(spec, points)))
     if len(pts) != 7:
         return False
     for p, q in combinations(pts, 2):

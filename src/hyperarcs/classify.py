@@ -14,6 +14,7 @@ canonical forms.
 
 from __future__ import annotations
 
+from hyperarcs._record import Record
 from hyperarcs.gf2 import FieldSpec
 from hyperarcs.arcs import Arc
 from hyperarcs.blocking import ArcClasses, is_doubled_quadrangle
@@ -21,29 +22,18 @@ from hyperarcs.onefact import (
     MAX_VERTICES,
     FactorizationError,
     OneFactorization,
+    _check_budget,
     closure,
     embed_search,
     enumerate_factorizations,
 )
 
 
-class ClassRow:
+class ClassRow(Record):
     """Per-factorization-class findings."""
 
     __slots__ = ("k", "index", "contains_all", "closure_depth", "embeddings",
                  "nonlinear_embeddings", "exhausted", "nonlinear_arc_forms")
-
-    def __init__(self, k: int, index: int, contains_all: bool, closure_depth: int,
-                 embeddings: int, nonlinear_embeddings: int, exhausted: bool,
-                 nonlinear_arc_forms: tuple):
-        self.k = k
-        self.index = index
-        self.contains_all = contains_all
-        self.closure_depth = closure_depth
-        self.embeddings = embeddings
-        self.nonlinear_embeddings = nonlinear_embeddings
-        self.exhausted = exhausted
-        self.nonlinear_arc_forms = nonlinear_arc_forms
 
     @property
     def searched(self) -> bool:
@@ -52,13 +42,8 @@ class ClassRow:
         return not self.contains_all
 
 
-class ClassificationReport:
+class ClassificationReport(Record):
     __slots__ = ("spec", "max_k", "rows")
-
-    def __init__(self, spec: FieldSpec, max_k: int, rows: tuple[ClassRow, ...]):
-        self.spec = spec
-        self.max_k = max_k
-        self.rows = rows
 
     @property
     def nonlinear_forms(self) -> tuple:  # (k, canonical form) pairs, deduplicated
@@ -133,9 +118,14 @@ def classify_ghf(
     Odd sizes never occur (a minimum blocking set forces k even), so the
     sweep covers k = 2n for n in 3..max_k//2.  catalogs may carry
     pre-enumerated factorization lists keyed by n; embed_budget bounds the
-    per-class embedding search node count (None = exhaustive).  max_k
-    runs from 6, the first size swept, to onefact.MAX_VERTICES.
+    per-class embedding search node count (None = exhaustive).  max_k is
+    an int from 6, the first size swept, to onefact.MAX_VERTICES, and
+    embed_budget None or an int >= 0; anything else, a bool included,
+    raises FactorizationError.
     """
+    if type(max_k) is not int:
+        raise FactorizationError(f"max_k {max_k!r} is not an int")
+    _check_budget("embed_budget", embed_budget)
     if max_k > MAX_VERTICES:
         raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_VERTICES}")
     if max_k < 6:
@@ -177,4 +167,4 @@ def classify_ghf(
                 )
             )
 
-    return ClassificationReport(spec=spec, max_k=max_k, rows=tuple(rows))
+    return ClassificationReport(spec, max_k, tuple(rows))

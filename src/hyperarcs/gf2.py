@@ -145,11 +145,7 @@ class FieldSpec(Record):
             if not is_irreducible(poly):
                 raise FieldError(f"polynomial 0x{poly:x} is reducible over GF(2)")
             tables = _TABLES[key] = _build_tables(r, poly)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "q", 1 << r)
-        object.__setattr__(self, "exp", tables[0])
-        object.__setattr__(self, "log", tables[1])
+        super().__init__(r, poly, 1 << r, *tables)
 
     def _key(self) -> tuple:
         return self.r, self.poly

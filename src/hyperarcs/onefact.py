@@ -36,7 +36,7 @@ line to force the focus, or, by the choice of candidates, through it.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter, or_
 
@@ -56,6 +56,13 @@ MAX_CLOSURE_VERTICES = 16
 
 class FactorizationError(ValueError):
     """Structurally invalid factorization or catalog data."""
+
+
+def _check_budget(what: str, value) -> None:
+    # bool is an int subclass, but True is no budget; a float or str is
+    # refused, never converted
+    if value is not None and (type(value) is not int or value < 0):
+        raise FactorizationError(f"{what} {value!r} is not None or an int >= 0")
 
 
 Edge = tuple[int, int]
@@ -119,11 +126,7 @@ class OneFactorization(Record):
                 if e in seen:
                     raise FactorizationError(f"edge {e} appears twice")
                 seen.add(e)
-        object.__setattr__(self, "n_vertices", n2)
-        object.__setattr__(self, "factors", tuple(out))
-
-    def _key(self) -> tuple:
-        return self.n_vertices, self.factors
+        super().__init__(n2, tuple(out))
 
     @property
     def n_factors(self) -> int:
@@ -502,21 +505,16 @@ def isomorphic(a: OneFactorization, b: OneFactorization) -> bool:
 # Triangle triples and the collinearity closure
 
 
-class ClosureResult:
-    """family decodes the bitmap members (see closure) on first read."""
+class ClosureResult(Record):
+    """family decodes the bitmap members (see closure) on each read."""
 
-    __slots__ = ("members", "k", "depth", "__dict__")
-
-    def __init__(self, members: int, k: int, depth: int):
-        self.members = members
-        self.k = k
-        self.depth = depth
+    __slots__ = ("members", "k", "depth")
 
     @property
     def contains_all(self) -> bool:
         return bool(self.members >> ((1 << self.k) - 1))
 
-    @cached_property
+    @property
     def family(self) -> frozenset[frozenset[int]]:
         return _factor_sets(_set_bits(self.members))
 
@@ -666,16 +664,6 @@ class Embedding(Record):
 
     __slots__ = ("spec", "fact", "vertices", "foci")
 
-    def __init__(self, spec: FieldSpec, fact: OneFactorization,
-                 vertices: tuple[Point, ...], foci: tuple[Point, ...]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "fact", fact)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "foci", foci)
-
-    def _key(self) -> tuple:
-        return self.spec, self.fact, self.vertices, self.foci
-
     def validate(self) -> None:
         spec = self.spec
         pts = self.vertices
@@ -726,7 +714,9 @@ def embed_search(
     search with four vertex images pinned to the standard frame.
 
     Returns (embeddings, exhausted): exhausted is False when limit or
-    max_nodes stopped the search early.
+    max_nodes stopped the search early.  limit and max_nodes are each None
+    or an int >= 0; anything else, a bool included, raises
+    FactorizationError.
 
     Every embedding returned passes Embedding.validate by construction, so
     the search does not call it.  Vertex and focus images are distinct, and
@@ -740,6 +730,8 @@ def embed_search(
     u whose edge to v has its focus forced; p is neither u nor the focus,
     both being in used, so p.u is that line.
     """
+    _check_budget("limit", limit)
+    _check_budget("max_nodes", max_nodes)
     n2 = fact.n_vertices
     if n2 > MAX_VERTICES:
         raise FactorizationError(f"embedding search supports at most {MAX_VERTICES} vertices")

@@ -77,11 +77,22 @@ def _cross(exp, log, u, v) -> tuple[int, int, int]:
 
 
 # Each public name below reads the points and lines it is given through
-# normalize and the matrices through _read_matrix, then calls the unchecked
-# kernel of the same name with a leading underscore; library code calls the
-# kernels.  So a public name raises GeometryError for a point or line that
-# is not a triple or is the zero triple, or a matrix that is not 3x3, and
-# FieldError for a value outside the field.
+# normalize, a sequence of points through _read_points and the matrices
+# through _read_matrix, then calls the unchecked kernel of the same name with
+# a leading underscore; library code calls the kernels.  So a public name
+# raises GeometryError for a point or line that is not a triple or is the
+# zero triple, a sequence of points that is not iterable, or a matrix that is
+# not 3x3, and FieldError for a value outside the field.
+
+
+def _read_points(spec: FieldSpec, points) -> list[Point]:
+    """points as a list of normalized points: GeometryError unless it is
+    iterable, then normalize's errors for each point."""
+    try:
+        points = iter(points)
+    except TypeError:
+        raise GeometryError(f"points {points!r} are not a sequence") from None
+    return [normalize(spec, p) for p in points]
 
 
 def _read_matrix(spec: FieldSpec, rows) -> Matrix:
@@ -141,7 +152,7 @@ def _collinear(spec: FieldSpec, p: Point, q: Point, r: Point) -> bool:
 
 def is_linear(spec: FieldSpec, points) -> bool:
     """True when the points all lie on one line."""
-    return _is_linear(spec, [normalize(spec, p) for p in points])
+    return _is_linear(spec, _read_points(spec, points))
 
 
 def _is_linear(spec: FieldSpec, points) -> bool:
@@ -329,7 +340,7 @@ def _to_standard_frame(spec: FieldSpec, p1, p2, p3, p4) -> Matrix:
 
 
 def _read_frame(spec: FieldSpec, pts) -> tuple[Point, ...]:
-    pts = tuple([normalize(spec, p) for p in pts])
+    pts = tuple(_read_points(spec, pts))
     if len(pts) != 4:
         raise GeometryError("a frame has four points")
     if _collinear_triple(spec, pts) is not None:

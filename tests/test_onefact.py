@@ -1161,6 +1161,16 @@ def test_validate_rejects_focus_off_its_factor():
         moved.validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("limit", -1), ("limit", 2.5), ("limit", True), ("limit", "3"),
+    ("max_nodes", -1), ("max_nodes", 2.5), ("max_nodes", True), ("max_nodes", "3"),
+])
+def test_embed_search_refuses_budgets_of_other_types(name, value):
+    # a negative budget is refused, not read as one already spent
+    with pytest.raises(FactorizationError):
+        embed_search(CASE1, field_make(3), **{name: value})
+
+
 def test_embed_search_guards():
     spec = field_make(6)
     with pytest.raises(FactorizationError):

@@ -224,6 +224,23 @@ def test_public_names_refuse_bad_points_and_lines(name):
     assert _misreads(TRIPLE_READERS[name], BAD_TRIPLES) == []
 
 
+# Each public name that reads a sequence of points, one call per argument
+# position; a non-iterable there is a GeometryError, not a bare TypeError.
+SEQUENCE_READERS = {
+    "is_linear": [lambda x: pp.is_linear(GF8, x)],
+    "frame_map": [lambda x: pp.frame_map(GF8, x, _F), lambda x: pp.frame_map(GF8, _F, x)],
+    "arcs.Arc": [lambda x: arcs.Arc(GF8, x)],
+    "blocking.is_blocking": [lambda x: blocking.is_blocking(_ARC, x)],
+    "blocking.is_fano_configuration": [lambda x: blocking.is_fano_configuration(GF8, x)],
+}
+NOT_SEQUENCES = [(None, pp.GeometryError), (5, pp.GeometryError)]
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_READERS))
+def test_public_names_refuse_non_sequences_of_points(name):
+    assert _misreads(SEQUENCE_READERS[name], NOT_SEQUENCES) == []
+
+
 @pytest.mark.parametrize("name", sorted(MATRIX_READERS))
 def test_public_names_refuse_bad_matrices(name):
     assert _misreads(MATRIX_READERS[name], BAD_MATRICES) == []

@@ -6,10 +6,11 @@ import pickle
 
 import pytest
 
-from hyperarcs.arcs import Arc, subgroup_make
+from hyperarcs.arcs import Arc, build_complete_translation_arc, subgroup_make
 from hyperarcs.blocking import BlockingSet
+from hyperarcs.classify import classify_ghf
 from hyperarcs.gf2 import field_make
-from hyperarcs.onefact import Embedding, OneFactorization
+from hyperarcs.onefact import Embedding, OneFactorization, closure
 
 GF8 = field_make(3)
 K4 = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
@@ -26,10 +27,25 @@ def make(kind):
         return BlockingSet(field_make(3), tuple(POINTS))
     if kind == "OneFactorization":
         return OneFactorization(4, tuple(tuple(list(e) for e in f) for f in K4))
+    if kind == "ClosureResult":
+        return closure(OneFactorization(4, K4))
+    if kind == "CompletionReport":
+        return build_complete_translation_arc(6, 3)
+    if kind == "ClassificationReport":
+        return classify_ghf(field_make(3), max_k=6)
+    if kind == "ClassRow":
+        return classify_ghf(field_make(3), max_k=6).rows[0]
     return Embedding(field_make(3), OneFactorization(4, K4), POINTS, POINTS[:3])
 
 
-KINDS = ("Arc", "AdditiveSubgroup", "BlockingSet", "OneFactorization", "Embedding")
+KINDS = (
+    "Arc", "AdditiveSubgroup", "BlockingSet", "OneFactorization", "Embedding",
+    "ClosureResult", "CompletionReport", "ClassificationReport", "ClassRow",
+)
+# The types built by Record's own constructor: one value per slot, in order.
+GENERIC_KINDS = (
+    "Embedding", "ClosureResult", "CompletionReport", "ClassificationReport", "ClassRow"
+)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -61,6 +77,17 @@ def test_copies_are_equal(kind):
         assert twin == value and hash(twin) == hash(value)
         with pytest.raises(AttributeError):
             setattr(twin, type(value).__slots__[0], None)
+
+
+@pytest.mark.parametrize("kind", GENERIC_KINDS)
+def test_one_value_per_slot(kind):
+    value = make(kind)
+    values = [getattr(value, name) for name in type(value).__slots__]
+    assert type(value)(*values) == value
+    with pytest.raises(TypeError):
+        type(value)(*values[:-1])
+    with pytest.raises(TypeError):
+        type(value)(*values, None)
 
 
 def test_values_of_different_fields_differ():
