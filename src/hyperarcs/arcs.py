@@ -217,44 +217,42 @@ def _graph_subgroup(spec: FieldSpec, h_basis, i: int) -> AdditiveSubgroup:
 def split_conic_arc(spec: FieldSpec, eta: int | None = None, b: int | None = None):
     """Double the conic arc over F_sqrt(q) through A = (eta, b*eta^2).
 
-    Candidate pairs are validated by the only sound criterion: the point
-    (eta, b*eta^2, 1) must lie on no secant of the small arc, which the
-    direction count of the doubled group decides (see extend_double).  With
-    explicit (eta, b) the pair is checked and the doubled arc returned; with
-    none given, all pairs are scanned and the first valid one used.  Returns
-    (arc, eta, b), or None when the scan finds no valid pair.
+    Returns (arc, eta, b).  The pair is valid when eta lies outside
+    F_sqrt(q), b lies in F_sqrt(q) minus 1, and A lies on no secant of the
+    conic arc, which extend_double decides by the direction count of the
+    doubled group; any other pair raises ArcError.
+
+    With no pair given it is (2, 0), which is valid.  The conic group
+    G = {(h, h^2) : h in F_sqrt(q)} has directions 1/h, all in F_sqrt(q).
+    The coset through (eta, 0) adds the direction at infinity and, for
+    h != 0, the direction (h + eta)/h^2 = 1/h + eta/h^2, outside F_sqrt(q)
+    whenever eta is.  Two of these new directions agree only if
+    eta = hh'/(h + h'), which lies in F_sqrt(q).  So the 2 sqrt(q) - 1
+    directions are distinct, and the doubled orbit is an arc.  eta = 2, the
+    class of X, lies in no proper subfield, because the defining polynomial
+    is irreducible of degree r.  It is also the first valid pair in the
+    order eta, then b: eta = 0 and eta = 1 lie in F_sqrt(q), and b = 0
+    comes first.
     """
     if spec.r % 2 != 0:
         raise ArcError("q must be a square")
-    half = set(spec.subfield(spec.r // 2))
+    if (eta is None) != (b is None):
+        raise ArcError("give both eta and b, or neither")
+    if eta is None:
+        eta, b = 2, 0
+    spec.check(eta, b)
+    half = spec.subfield(spec.r // 2)
+    failed = f"(eta={eta}, b={b}) fails the secant-avoidance check"
+    if eta in half or b not in half or b == 1:
+        raise ArcError(failed)
     group = _graph_subgroup(spec, _subfield_basis(spec, spec.r // 2), 1)
     exp, log = spec.exp, spec.log
-
-    def pair_of(e, bb):
-        return (e, exp[log[bb] + log[exp[2 * log[e]]]])  # (eta, b * eta^2)
-
-    def doubled(e, bb):
-        """The doubled group when (e, bb) passes, else None."""
-        if e in half or bb not in half or bb == 1:
-            return None
-        g = subgroup_make(spec, group.basis + (pair_of(e, bb),))
-        return g if is_translation_arc_group(g) else None
-
-    if eta is not None or b is not None:
-        if eta is None or b is None:
-            raise ArcError("give both eta and b, or neither")
-        spec.check(eta, b)
-        g = doubled(eta, b)
-        if g is None:
-            raise ArcError(f"(eta={eta}, b={b}) fails the secant-avoidance check")
-        return translation_arc(g), eta, b
-
-    for e in spec.elements():
-        for bb in sorted(half):
-            g = doubled(e, bb)
-            if g is not None:
-                return translation_arc(g), e, bb
-    return None
+    try:
+        # b * eta^2 as two table products: exp covers sums of two logs only
+        doubled = extend_double(group, (eta, exp[log[b] + log[exp[2 * log[eta]]]]))
+    except ArcError:
+        raise ArcError(failed) from None
+    return translation_arc(doubled), eta, b
 
 
 def _subfield_basis(spec: FieldSpec, s: int) -> list[int]:

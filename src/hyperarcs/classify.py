@@ -118,11 +118,14 @@ def classify_ghf(
     Odd sizes never occur (a minimum blocking set forces k even), so the
     sweep covers k = 2n for n in 3..max_k//2.  catalogs may carry
     pre-enumerated factorization lists keyed by n; embed_budget bounds the
-    per-class embedding search node count (None = exhaustive).  max_k is
-    an int from 6, the first size swept, to onefact.MAX_VERTICES, and
-    embed_budget None or an int >= 0; anything else, a bool included,
-    raises FactorizationError.
+    per-class embedding search node count (None = exhaustive).  spec is a
+    FieldSpec, max_k an int from 6, the first size swept, to
+    onefact.MAX_VERTICES, embed_budget None or an int >= 0, and catalogs
+    None or a dict whose entry n is an iterable of OneFactorizations of
+    K_2n; anything else, a bool included, raises FactorizationError.
     """
+    if not isinstance(spec, FieldSpec):
+        raise FactorizationError(f"spec {spec!r} is not a FieldSpec")
     if type(max_k) is not int:
         raise FactorizationError(f"max_k {max_k!r} is not an int")
     _check_budget("embed_budget", embed_budget)
@@ -130,15 +133,12 @@ def classify_ghf(
         raise FactorizationError(f"max_k = {max_k} is above the supported {MAX_VERTICES}")
     if max_k < 6:
         raise FactorizationError(f"max_k = {max_k} is below the first swept size 6")
+    catalogs = _read_catalogs(catalogs)
     rows: list[ClassRow] = []
     classes = ArcClasses()
 
     for n in range(3, max_k // 2 + 1):
-        facts = (
-            catalogs[n]
-            if catalogs is not None and n in catalogs
-            else enumerate_factorizations(n)
-        )
+        facts = catalogs[n] if n in catalogs else enumerate_factorizations(n)
         for idx, fact in enumerate(facts):
             res = closure(fact)
             if res.contains_all:
@@ -168,3 +168,29 @@ def classify_ghf(
             )
 
     return ClassificationReport(spec, max_k, tuple(rows))
+
+
+def _read_catalogs(catalogs) -> dict:
+    """catalogs with each entry as a list, {} for None: FactorizationError
+    unless it is None or a dict whose entry n is an iterable of
+    OneFactorizations of K_2n."""
+    if catalogs is None:
+        return {}
+    if not isinstance(catalogs, dict):
+        raise FactorizationError(f"catalogs is a {type(catalogs).__name__}, not a dict")
+    read = {}
+    for n, facts in catalogs.items():
+        if type(n) is not int:
+            raise FactorizationError(f"catalog key {n!r} is not an int")
+        try:
+            read[n] = list(facts)
+        except TypeError:
+            raise FactorizationError(f"catalogs[{n}] is not an iterable") from None
+        for fact in read[n]:
+            if not isinstance(fact, OneFactorization):
+                raise FactorizationError(f"catalogs[{n}] holds {fact!r}, not a OneFactorization")
+            if fact.n_vertices != 2 * n:
+                raise FactorizationError(
+                    f"catalogs[{n}] holds a factorization of K_{fact.n_vertices}, not of K_{2 * n}"
+                )
+    return read

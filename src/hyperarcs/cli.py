@@ -166,12 +166,7 @@ def _cmd_arc_build(args, report: RunReport) -> int:
     elif args.example == "n3":
         eta = _parse_field_value(args.eta) if args.eta is not None else None
         b = _parse_field_value(args.b) if args.b is not None else None
-        result = split_conic_arc(spec, eta, b)
-        if result is None:
-            report.verdicts["pair_found"] = False
-            report.witnesses["scan"] = "no (eta, b) pair passes the secant test"
-            return 1
-        arc, eta, b = result
+        arc, eta, b = split_conic_arc(spec, eta, b)
         report.verdicts["pair_found"] = True
         report.inputs.update({"eta": eta, "b": b})
     report.results["arc"] = arc.to_json()

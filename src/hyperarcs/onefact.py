@@ -714,9 +714,9 @@ def embed_search(
     search with four vertex images pinned to the standard frame.
 
     Returns (embeddings, exhausted): exhausted is False when limit or
-    max_nodes stopped the search early.  limit and max_nodes are each None
-    or an int >= 0; anything else, a bool included, raises
-    FactorizationError.
+    max_nodes stopped the search early.  fact is a OneFactorization, spec
+    a FieldSpec, and limit and max_nodes are each None or an int >= 0;
+    anything else, a bool included, raises FactorizationError.
 
     Every embedding returned passes Embedding.validate by construction, so
     the search does not call it.  Vertex and focus images are distinct, and
@@ -730,6 +730,10 @@ def embed_search(
     u whose edge to v has its focus forced; p is neither u nor the focus,
     both being in used, so p.u is that line.
     """
+    if not isinstance(fact, OneFactorization):
+        raise FactorizationError(f"fact {fact!r} is not a OneFactorization")
+    if not isinstance(spec, FieldSpec):
+        raise FactorizationError(f"spec {spec!r} is not a FieldSpec")
     _check_budget("limit", limit)
     _check_budget("max_nodes", max_nodes)
     n2 = fact.n_vertices

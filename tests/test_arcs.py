@@ -955,6 +955,46 @@ def test_split_conic_explicit_pair_validation():
         split_conic_arc(GF16, 1, 0)  # eta inside the subfield
 
 
+@pytest.mark.parametrize("r, valid, failing", [(2, 2, 0), (4, 24, 12), (6, 224, 168)])
+def test_split_conic_explicit_pairs_match_union_oracle(r, valid, failing):
+    # every (eta, b): a pair with eta outside F_sqrt(q) and b in F_sqrt(q)
+    # minus 1 is valid exactly when the conic and its translate by
+    # A = (eta, b*eta^2) make an arc of 2 sqrt(q) points, which Arc's
+    # collinearity sweep decides with no direction count; the doubled arc
+    # is that union, and every other pair is refused
+    spec = field_make(r)
+    half = spec.subfield(r // 2)
+    conic = [(h, spec.mul(h, h), 1) for h in half]
+    counts = {"valid": 0, "failing": 0}
+    for eta, b in product(spec.elements(), repeat=2):
+        oracle = None
+        if eta not in half and b in half and b != 1:
+            x, y = eta, spec.mul(b, spec.mul(eta, eta))
+            union = conic + [(h ^ x, h2 ^ y, 1) for h, h2, _ in conic]
+            try:
+                oracle = Arc(spec, union)
+            except CollinearError:
+                pass
+            counts["valid" if oracle else "failing"] += 1
+        if oracle is not None:
+            assert len(oracle) == 2 * len(half)
+            arc, e, bb = split_conic_arc(spec, eta, b)
+            assert (arc.points, e, bb) == (oracle.points, eta, b)
+        else:
+            with pytest.raises(ArcError) as refused:
+                split_conic_arc(spec, eta, b)
+            assert str(refused.value) == f"(eta={eta}, b={b}) fails the secant-avoidance check"
+    assert counts == {"valid": valid, "failing": failing}
+
+
+@pytest.mark.parametrize("r", [2, 4, 6, 8, 10, 12])
+def test_split_conic_default_pair(r):
+    # the proved default: (2, 0) for every square order
+    arc, eta, b = split_conic_arc(field_make(r))
+    assert (eta, b) == (2, 0)
+    assert len(arc) == 2 << (r // 2)
+
+
 # ---------------------------------------------------------------------------
 # Subgroup enumeration and the sweep invariants
 

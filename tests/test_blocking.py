@@ -12,6 +12,7 @@ from hyperarcs.arcs import (
     ArcError,
     conic_translation_arc,
     enumerate_arc_subgroups,
+    hyperfocused_lines,
     secant_directions,
     subgroup_make,
     translation_arc,
@@ -665,6 +666,49 @@ def test_hyperfocused_lines_give_minimum_blocking_sets():
             )
             assert len(section) == len(arc) - 1
             assert section in found
+
+
+def test_hyperfocused_lines_are_the_lines_of_linear_minimum_blocking_sets():
+    """hyperfocused_lines(arc) are exactly the lines carrying the linear
+    sets of min_blocking_sets(arc), two routes with no shared search.
+
+    A hyperfocused line L misses the arc and meets the secants in k - 1
+    points; they block every secant and avoid the arc, so they form a
+    minimum blocking set on L.  Conversely, let the k - 1 points of a
+    minimum blocking set lie on a line L.  An arc point P on L is no
+    blocker, and each of the k - 1 secants through P but L itself meets L
+    only at P, so it would be unblocked; so L misses the arc.  Then each
+    secant meets L in one point, its blocker, and L is hyperfocused.  Odd k
+    has neither."""
+    population = [
+        translation_arc(subgroup_make(spec, basis))
+        for spec in (GF4, GF8)
+        for basis in enumerate_arc_subgroups(spec, (2, 3, 4))
+    ]
+    assert len(population) == 1122
+    rng = random.Random(1729)
+    randoms = []
+    for spec in (GF8, GF16):
+        for _ in range(12):
+            randoms += random_arc_prefixes(spec, rng, range(3, 11))
+    assert {len(arc) for arc in randoms} == set(range(3, 11))
+    population += randoms
+    for spec in (GF8, GF16):
+        conic = [(x, spec.mul(x, x), 1) for x in spec.elements()]
+        population.append(Arc(spec, tuple(conic) + ((0, 1, 0), (1, 0, 0))))
+    eight, _, _ = ghf_eight(GF16)
+    population.append(eight)
+
+    counts = []
+    for arc in population:
+        linear = [b.points for b in min_blocking_sets(arc) if b.linear]
+        carriers = {pp.line_through(arc.spec, *pts[:2]) for pts in linear}
+        assert len(carriers) == len(linear)
+        lines = hyperfocused_lines(arc)
+        assert set(lines) == carriers
+        counts.append(len(lines))
+    assert counts[-3:] == [28, 120, 0]  # both hyperovals, then ghf_eight
+    assert any(counts[:1122]) and any(counts[1122:-3])
 
 
 def test_triangle_property_sampled_q8():

@@ -6,6 +6,7 @@ import pytest
 from hyperarcs.classify import classify_ghf
 from hyperarcs.gf2 import field_make
 from hyperarcs.onefact import FactorizationError
+from test_onefact import CASE1, K6
 
 GF8 = field_make(3)
 
@@ -19,3 +20,20 @@ def test_classify_refuses_numbers_of_other_types(name, value):
     # bool is an int subclass but no size or budget; nothing is converted
     with pytest.raises(FactorizationError):
         classify_ghf(GF8, **{name: value})
+
+
+@pytest.mark.parametrize("spec, catalogs", [
+    ("x", None),             # the K6 class is closure-forced, so spec goes unread
+    (None, {3: [K6]}),
+    (GF8, {3: None}),        # not iterable
+    (GF8, {3: [None]}),
+    (GF8, {3: ["x"]}),
+    (GF8, [K6]),             # a list of factorizations, not a dict
+    (GF8, {"3": [K6]}),      # a key that would never be read
+    (GF8, {3: [CASE1]}),     # a K8 class read as a K6 one
+    (GF8, {3: [K6], 4: [K6]}),
+])
+def test_classify_refuses_specs_and_catalogs_of_other_types(spec, catalogs):
+    # a wrong catalog would be searched as one of another size, or ignored
+    with pytest.raises(FactorizationError):
+        classify_ghf(spec, max_k=8, catalogs=catalogs)

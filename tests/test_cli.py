@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -724,3 +725,22 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["results"]["q"] == 4
+
+
+def readme_commands():
+    """The commands of README's "Command line" block, as argument lists
+    without their trailing comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # in order, as written: later examples read the files earlier ones save
+    commands = readme_commands()
+    assert len(commands) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "hyperarcs"
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)

@@ -1171,6 +1171,15 @@ def test_embed_search_refuses_budgets_of_other_types(name, value):
         embed_search(CASE1, field_make(3), **{name: value})
 
 
+@pytest.mark.parametrize("fact, spec", [
+    (None, field_make(3)), ("x", field_make(3)), (K6.factors, field_make(3)),
+    (K6, None), (K6, "x"), (K6, 3),
+])
+def test_embed_search_refuses_arguments_of_other_types(fact, spec):
+    with pytest.raises(FactorizationError):
+        embed_search(fact, spec)
+
+
 def test_embed_search_guards():
     spec = field_make(6)
     with pytest.raises(FactorizationError):
