@@ -9,9 +9,12 @@ Assigning or deleting an attribute later raises AttributeError; copy and
 pickle still work.
 
 Three constructions write their slots through ``object.__setattr__``
-instead: AdditiveSubgroup, the arc translation_arc builds, and BlockingSet.
-A translation-arc sweep builds each of them hundreds to thousands of
-times, and the generic loop costs about 0.3 us more per construction.
+instead: AdditiveSubgroup, and the private builders arcs._proved_arc (the
+arcs translation_arc and classify_ghf build) and blocking._blocking_set
+(the sets min_blocking_sets and ghf_construct find).  A translation-arc
+sweep builds each of them hundreds to thousands of times, and the generic
+loop costs about 0.3 us more per construction; the builders also skip the
+public constructors' reading and checks, for points already proved.
 """
 
 from __future__ import annotations

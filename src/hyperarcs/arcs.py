@@ -185,10 +185,16 @@ def translation_arc(group: AdditiveSubgroup, base: Point = ORIGIN) -> Arc:
     if not is_translation_arc_group(group):
         raise ArcError("orbit is not an arc: two elements of G share a direction")
     if x or y:
-        points = tuple(sorted([(a ^ x, b ^ y, 1) for a, b in group.elements]))
-    else:
-        points = tuple([(a, b, 1) for a, b in group.elements])
-    # slots set directly, past Arc.__init__'s checks: a sweep builds thousands
+        return _proved_arc(spec, tuple(sorted([(a ^ x, b ^ y, 1) for a, b in group.elements])))
+    return _proved_arc(spec, tuple([(a, b, 1) for a, b in group.elements]))
+
+
+def _proved_arc(spec: FieldSpec, points: tuple[Point, ...]) -> Arc:
+    """The Arc of points already proved an arc: normalized, distinct,
+    sorted and no three collinear.  Its slots are set directly, past
+    Arc.__init__'s reading and collinearity sweep, for the callers that
+    build thousands: translation_arc and classify_ghf, whose point sets come
+    from embed_search."""
     arc = object.__new__(Arc)
     object.__setattr__(arc, "spec", spec)
     object.__setattr__(arc, "points", points)

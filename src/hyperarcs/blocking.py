@@ -39,9 +39,7 @@ class BlockingSet(Record):
     __slots__ = ("spec", "points")
 
     def __init__(self, spec: FieldSpec, points: tuple[Point, ...]):
-        # slots written directly, not by Record.__init__: a sweep builds hundreds
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "points", tuple(sorted(set(points))))
+        super().__init__(spec, tuple(sorted(set(pp._read_points(spec, points)))))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -56,6 +54,16 @@ class BlockingSet(Record):
             "points": [pp.point_to_json(p) for p in self.points],
             "linear": self.linear,
         }
+
+
+def _blocking_set(spec: FieldSpec, points) -> BlockingSet:
+    """The BlockingSet of distinct normalized points, its slots set
+    directly, past BlockingSet.__init__'s reading: min_blocking_sets and
+    ghf_construct compute theirs, and a sweep builds hundreds."""
+    bset = object.__new__(BlockingSet)
+    object.__setattr__(bset, "spec", spec)
+    object.__setattr__(bset, "points", tuple(sorted(points)))
+    return bset
 
 
 def _point_masks(spec: FieldSpec, lines, points) -> dict[Point, int]:
@@ -154,7 +162,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
                 search(i + 1, covered | m, chosen + (p,))
 
     search(0, 0, ())
-    out = [BlockingSet(arc.spec, pts) for pts in solutions]
+    out = [_blocking_set(arc.spec, pts) for pts in solutions]
     if len(out) > 1:
         out.sort(key=lambda b: b.points)
     for b in out:
@@ -213,7 +221,7 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
     for a1, a2 in group.elements:
         composed = pp._compose(spec, phi, pp.elation(spec, a1, a2))
         blockers.add(pp._center(spec, composed))
-    bset = BlockingSet(spec, tuple(blockers))
+    bset = _blocking_set(spec, blockers)
     if len(bset) != 2 * k - 1:
         raise BlockingError(f"expected {2 * k - 1} blockers, found {len(bset)}")
     if not is_blocking(union, bset.points):
@@ -392,25 +400,46 @@ def _subset_images(arc: Arc, subsets):
     Any 4 arc points are in general position, so the subset in increasing
     order is a frame for pp._to_standard_frame, with matrix M.  The map of
     any other ordering is Q M for one Q of the frame's stabilizer, and each
-    Q gives one ordering.  Every image holds the standard frame itself, so
-    only the other k - 4 points are mapped: through M once, normalized, and
-    then through each Q.  An affine point (x, y, 1) goes to
-    (ax + by + c, dx + ey + f, 1) by XOR alone; a point at infinity goes to
-    (ax + by, dx + ey, 0), normalized by one table division."""
+    Q gives one ordering.  Every other point is mapped through M once and
+    normalized.  No three arc points are collinear, so none lies on the
+    frame's six sides: an affine image (x, y, 1) has none of the three forms
+    x, y, x + y in {0, 1}, and an image (x, y, 0) at infinity none zero.
+    Each Q sends (x, y, 1) to (ax + by + c, dx + ey + f, 1), two distinct
+    forms plus the bits c and f, and (x, y, 0) to (ax + by, dx + ey, 0),
+    normalized (L/L', 1, 0) for two distinct forms L and L'.  Either way
+    the first coordinate is 2 or more, so every image sorts the frame
+    first, and the label is the frame followed by the least sorted image of
+    the other k - 4 points.
+
+    A sorted image starts with its least point, so the least sorted image
+    starts with the least point of any of the 24 images, and only the maps
+    that reach that point can win.  For an affine point, the least of its
+    6 first-row values L + c is min(L, L + 1), L with its low bit cleared,
+    for the form L where that is least; the least of the 4 second rows that
+    go with that row is likewise the next least of the other two forms.
+    The three forms are distinct and outside {0, 1}, so their cleared
+    values are distinct too, and one map reaches the least image (m0, m1, 1)
+    for the two least.  At infinity the translation bits c and f drop out:
+    a point has only the 6 images (L/L', 1, 0) for the ordered pairs of
+    distinct forms, each reached by 4 maps, and ratios may tie.  Only the
+    maps reaching the least point build and sort a full image, and ties
+    compare full images."""
     spec = arc.spec
     exp, log = spec.exp, spec.log
     shift = spec.q - 1
     pts = arc.points
     point_logs = [(log[p[0]], log[p[1]], log[p[2]]) for p in pts]
     frame = pp.STANDARD_FRAME
+    above = (spec.q, 0, 0)  # above every image point; a 4-arc keeps it, and no map
 
     for subset in subsets:
         rows = pp._to_standard_frame(spec, *(pts[i] for i in subset))
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
             (log[m[0]], log[m[1]], log[m[2]]) for m in rows
         )
-        # the 24 images of each other point, one list per point
-        columns = []
+        # each other point's row values, coded as in _FRAME_STABILIZER
+        affine, infinite = [], []
+        least, winners = above, []
         for j, (l0, l1, l2) in enumerate(point_logs):
             if j in subset:
                 continue
@@ -421,31 +450,50 @@ def _subset_images(arc: Arc, subsets):
                 s = shift - log[z]
                 x, y = exp[log[x] + s], exp[log[y] + s]
                 w = (0, 1, x, x ^ 1, y, y ^ 1, x ^ y, x ^ y ^ 1)
-                columns.append([(w[u], w[v], 1) for u, v in _FRAME_STABILIZER])
+                affine.append(w)
+                m0, m1, _ = sorted((x & -2, y & -2, (x ^ y) & -2))
+                point = (m0, m1, 1)
             else:
-                # on the line at infinity the translation part drops out
                 w = (0, 0, x, x, y, y, x ^ y, x ^ y)
-                columns.append([
-                    (exp[log[w[u]] + shift - log[w[v]]], 1, 0) if w[v] else (1, 0, 0)
-                    for u, v in _FRAME_STABILIZER
-                ])
-        # The images share the frame and are disjoint from it, so their
-        # sorted forms compare as the sorted images of the other points do:
-        # either order puts first the set holding the least point of the
-        # symmetric difference.
-        best = min((sorted(images) for images in zip(*columns)), default=())
-        yield tuple(sorted((*frame, *best)))
+                infinite.append(w)
+                lx, ly, lxy = log[x], log[y], log[x ^ y]
+                point = (min(exp[shift + lx - ly], exp[shift + ly - lx],
+                             exp[shift + lx - lxy], exp[shift + lxy - lx],
+                             exp[shift + ly - lxy], exp[shift + lxy - ly]), 1, 0)
+            if point < least:
+                least, winners = point, [w]
+            elif point == least:
+                winners.append(w)
+        if least[2]:
+            # w holds each row value at its code, and the six differ
+            maps = [(w.index(least[0], 2), w.index(least[1], 2)) for w in winners]
+        else:
+            maps = [
+                (u, v)
+                for w in winners
+                for u, v in _FRAME_STABILIZER
+                if exp[log[w[u]] + shift - log[w[v]]] == least[0]
+            ]
+        best = min(
+            (
+                sorted([(w[u], w[v], 1) for w in affine]
+                       + [(exp[log[w[u]] + shift - log[w[v]]], 1, 0) for w in infinite])
+                for u, v in maps
+            ),
+            default=(),
+        )
+        yield (*frame, *best)
 
 
 def arc_canonical_form(arc: Arc) -> tuple:
     """Canonical representative of the arc's projective class: the least
     sorted image over all k(k-1)(k-2)(k-3) maps sending an ordered 4-subset
     of the arc to the standard frame.  Equal forms mean projectively
-    equivalent arcs.  Each 4-subset costs one projectivity, and its 24
-    orderings 24 images by XOR through the frame's stabilizer.  To reduce
-    many arcs to their classes, ArcClasses returns the same form for one
-    projectivity and 24 XOR images per arc after the first arc of each
-    class."""
+    equivalent arcs.  Each 4-subset costs one projectivity, the least image
+    of each other point, and one sorted image for each of its 24 orderings
+    that reaches the least of those (see _subset_images).  To reduce many
+    arcs to their classes, ArcClasses returns the same form for the first
+    label of each arc after the first arc of each class."""
     return min(_subset_images(arc, _four_subsets(arc)))
 
 
@@ -490,9 +538,8 @@ class ArcClasses:
     class met so far to the least of them, the canonical form; an arc's
     first label is therefore found exactly when its class has been met, and
     the form stored there is its own.  A later arc of a met class costs its
-    first label only: one projectivity and the 24 XOR images of its other
-    points.  Keying by label, not by frame image, stores 24 times fewer keys
-    (70 per class of 8-arcs) for those 24 images per lookup."""
+    first label only.  Keying by label, not by frame image, stores 24 times
+    fewer keys: 70 per class of 8-arcs."""
 
     def __init__(self):
         # field -> 4-subset label -> canonical form; labels carry no field

@@ -7,8 +7,9 @@ and is recorded as forced linear.  Otherwise the embedding search runs and
 each embedding's focus set is tested for linearity directly.  Non-linear
 instances are reduced to projective-equivalence classes of their vertex
 arcs through one ArcClasses table per run: the first arc of a class pays a
-pass over all its ordered frames, every later arc the 24 frame images of
-its first four points and an exact lookup.  The forms reported are the
+pass over all its 4-subsets, every later arc the label of its first four
+points and an exact lookup.  The search proves its point sets arcs, so
+they enter the table without Arc's checks.  The forms reported are the
 canonical forms.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from hyperarcs._record import Record
 from hyperarcs.gf2 import FieldSpec
-from hyperarcs.arcs import Arc
+from hyperarcs.arcs import Arc, _proved_arc
 from hyperarcs.blocking import ArcClasses, is_doubled_quadrangle
 from hyperarcs.onefact import (
     MAX_VERTICES,
@@ -152,7 +153,7 @@ def classify_ghf(
             nonlin = [e for e in embeddings if not e.focus_collinear()]
             arcs = sorted({e.arc_points() for e in nonlin})
             forms = tuple(
-                sorted({classes.form(Arc(spec, pts)) for pts in arcs})
+                sorted({classes.form(_proved_arc(spec, pts)) for pts in arcs})
             )
             rows.append(
                 ClassRow(

@@ -207,10 +207,16 @@ class FieldSpec(Record):
         return self.pow(a, 1 << (i % self.r))
 
     def subfield(self, s: int) -> list[int]:
-        """Elements of the subfield GF(2^s), for s dividing r."""
-        if self.r % s != 0:
+        """Elements of the subfield GF(2^s), for s dividing r, sorted.
+
+        Its units are the cyclic subgroup of order 2^s - 1 of the field's
+        units, the powers of g^((q-1)/(2^s-1)) for the table generator g."""
+        if type(s) is not int or s < 1 or self.r % s != 0:
             raise FieldError(f"GF(2^{s}) is not a subfield of GF(2^{self.r})")
-        return [a for a in self.elements() if self.frob(a, s) == a]
+        units = (1 << s) - 1
+        step = (self.q - 1) // units
+        exp = self.exp
+        return [0, *sorted([exp[i * step] for i in range(units)])]
 
     def to_json(self) -> dict:
         return {"r": self.r, "poly": f"0x{self.poly:x}"}

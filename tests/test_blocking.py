@@ -7,6 +7,7 @@ import pytest
 
 from hyperarcs.gf2 import FieldError, field_make
 from hyperarcs import projplane as pp
+from hyperarcs.projplane import GeometryError
 from hyperarcs.arcs import (
     Arc,
     ArcError,
@@ -107,6 +108,33 @@ def test_blocking_checks_reject_bad_coordinates():
     for bad in (-1, 8):
         with pytest.raises(FieldError):
             is_blocking(arc, ((0, bad, 1),))
+
+
+def test_blocking_set_reads_its_points():
+    with pytest.raises(GeometryError):
+        BlockingSet(GF4, [(1, 2)])
+    with pytest.raises(GeometryError):
+        BlockingSet(GF4, [(0, 0, 0)])
+    with pytest.raises(FieldError):
+        BlockingSet(GF4, [(0, 4, 1)])
+    with pytest.raises(GeometryError):
+        BlockingSet(GF4, None)
+    # (3, 3, 3) and (2, 2, 2) are multiples of (1, 1, 1), (2, 0, 2) of (1, 0, 1)
+    assert BlockingSet(GF4, [(3, 3, 3), (2, 0, 2), (2, 2, 2)]).points == ((1, 0, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.q}")
+def test_found_blocking_sets_equal_their_public_construction(spec):
+    # min_blocking_sets and ghf_construct build theirs past the reading
+    arcs = [quad_arc(spec), regular_hyperoval(spec)]
+    if spec.q >= 16:
+        arc, bset, _ = ghf_eight(spec)
+        assert BlockingSet(spec, list(reversed(bset.points))) == bset
+        arcs.append(arc)
+    found = [b for arc in arcs for b in min_blocking_sets(arc)]
+    assert found
+    for b in found:
+        assert BlockingSet(spec, list(reversed(b.points))) == b
 
 
 def test_is_linear_small_sets():
@@ -943,6 +971,13 @@ def labels_by_orderings(arc):
     ]
 
 
+def regular_hyperoval(spec):
+    """The conic y = x^2, its point (0, 1, 0) at infinity and its nucleus
+    (1, 0, 0)."""
+    conic = tuple((t, spec.mul(t, t), 1) for t in spec.elements())
+    return Arc(spec, conic + ((0, 1, 0), (1, 0, 0)))
+
+
 def arc_through_infinity(spec, k, rng):
     """A random k-arc holding two points at infinity: greedy from a shuffled
     plane, after two shuffled points of the line at infinity."""
@@ -964,12 +999,13 @@ def test_subset_labels_match_per_ordering_oracle():
     from hyperarcs.blocking import _four_subsets, _subset_images
 
     rng = random.Random(13)
-    # the regular hyperoval of PG(2,4): the conic y = x^2 and its nucleus
-    hyperoval = Arc(
-        GF4,
-        tuple((t, GF4.mul(t, t), 1) for t in GF4.elements()) + ((0, 1, 0), (1, 0, 0)),
-    )
-    arcs = [hyperoval]
+    # the regular hyperovals, whose large stabilizers let several orderings
+    # reach each label, and the doubled quadrangles, whose frame maps send
+    # a point to infinity on 16 and 8 of their 70 subsets
+    arcs = [regular_hyperoval(spec) for spec in (GF4, GF8, GF16)]
+    arcs += [ghf_eight(GF16)[0], ghf_eight(GF32)[0]]
+    images = list(frame_images(arcs[1], permutations(range(4))))
+    assert images.count(min(images)) > 1
     for spec in (GF4, GF8, GF16, GF32):
         for k in range(4, min(spec.q + 2, 10) + 1):
             arcs.append(random_arc(spec, k, rng))

@@ -277,6 +277,20 @@ def test_subfield_sizes():
         spec.subfield(4)
 
 
+@pytest.mark.parametrize("r", range(1, 17))
+def test_subfield_is_the_fixed_field_of_frobenius(r):
+    # GF(2^s) inside GF(2^r) is {a : a^(2^s) = a}, by the checked pow, one
+    # call per element; s must divide r
+    spec = field_make(r)
+    for s in range(-1, r + 2):
+        if s >= 1 and r % s == 0:
+            want = [a for a in spec.elements() if spec.pow(a, 1 << s) == a]
+            assert spec.subfield(s) == want
+        else:
+            with pytest.raises(FieldError):
+                spec.subfield(s)
+
+
 # Every default polynomial, plus one irreducible that is not a default.  Under
 # the default r = 8 polynomial X has order 51, so the table generator must be
 # searched for; 0x11D is the primitive r = 8 polynomial of Reed-Solomon codes.
