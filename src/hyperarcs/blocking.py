@@ -88,10 +88,11 @@ def is_blocking(arc: Arc, points) -> bool:
     return covered == (1 << len(lines)) - 1
 
 
-def _blocker_candidates(arc: Arc) -> dict[Point, int]:
+def _blocker_candidates(arc: Arc) -> list[list[tuple[Point, int]]]:
     """The candidates of min_blocking_sets with their secant masks, bit i
-    for the i-th pair of combinations(range(k), 2), on L = p0 x pi in turn:
-    secant ab meets L at a' + b', t' = t / (L.t), named as in
+    for the i-th pair of combinations(range(k), 2), as k - 1 lists: list
+    i - 1 holds those found on L = p0 x pi, whose lowest bit is i - 1.
+    Secant ab meets L at a' + b', t' = t / (L.t), named as in
     is_hyperfocused_line, and a name held by k/2 - 1 pairs is a candidate."""
     spec = arc.spec
     exp, log = spec.exp, spec.log
@@ -101,7 +102,7 @@ def _blocker_candidates(arc: Arc) -> dict[Point, int]:
     logs = [(log[x], log[y], log[z]) for x, y, z in pts]
     # secant (0, i) has index i - 1; those avoiding p0 follow from k - 1 on
     rest = list(enumerate(combinations(range(1, k), 2), start=k - 1))
-    found = {}
+    found = []
     for i in range(1, k):
         line = pp._cross(exp, log, pts[0], pts[i])
         j, h = (0, 1) if line[2] else (1, 2) if line[0] else (0, 2)
@@ -112,7 +113,7 @@ def _blocker_candidates(arc: Arc) -> dict[Point, int]:
                 a0, a1, a2 = logs[t]
                 ld = shift - log[exp[a0 + l0] ^ exp[a1 + l1] ^ exp[a2 + l2]]
                 scaled[t] = (exp[a0 + ld], exp[a1 + ld], exp[a2 + ld])
-        names = {}
+        names, on_line = {}, []
         for idx, (a, b) in rest:
             if i != a and i != b:
                 sa, sb = scaled[a], scaled[b]
@@ -124,7 +125,9 @@ def _blocker_candidates(arc: Arc) -> dict[Point, int]:
                 other = mask >> k - 1
                 a, b = rest[(other & -other).bit_length() - 1][1]
                 sa, sb = scaled[a], scaled[b]
-                found[pp._normalize_fast(spec, sa[0] ^ sb[0], sa[1] ^ sb[1], sa[2] ^ sb[2])] = mask
+                point = pp._normalize_fast(spec, sa[0] ^ sb[0], sa[1] ^ sb[1], sa[2] ^ sb[2])
+                on_line.append((point, mask))
+        found.append(on_line)
     return found
 
 
@@ -146,11 +149,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
         raise ArcError("blocking needs at least three arc points")
     if k % 2 == 1:
         return []
-    masks = _blocker_candidates(arc)
-    # the candidates on each secant through p0, whose bit is their lowest
-    through = [[] for _ in range(k - 1)]
-    for p, m in masks.items():
-        through[(m & -m).bit_length() - 1].append((p, m))
+    through = _blocker_candidates(arc)
     solutions = []
 
     def search(i: int, covered: int, chosen: tuple[Point, ...]):
@@ -165,24 +164,7 @@ def min_blocking_sets(arc: Arc) -> list[BlockingSet]:
     out = [_blocking_set(arc.spec, pts) for pts in solutions]
     if len(out) > 1:
         out.sort(key=lambda b: b.points)
-    for b in out:
-        _assert_minimum_counting(b, masks, k)
     return out
-
-
-def _assert_minimum_counting(blocking: BlockingSet, masks: dict[Point, int], k: int) -> None:
-    """The forced structure at minimum size, read off the blockers' secant
-    masks: k/2 secants per blocker, one blocker per secant."""
-    covered = 0
-    for p in blocking.points:
-        m = masks.get(p, 0)
-        if m.bit_count() != k // 2:
-            raise BlockingError("a blocker misses its k/2 secant count")
-        if m & covered:
-            raise BlockingError("a secant carries two blockers")
-        covered |= m
-    if covered != (1 << (k * (k - 1) // 2)) - 1:
-        raise BlockingError("a secant carries no blocker")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +180,13 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
     center of phi composed with the translation by P + Q.  The directions
     plus all such centers (the center of phi itself included) make 2k - 1
     points, one per secant: a minimum blocking set, never linear.
+
+    An image point on the arc, phi(P) = Q, fails the union's arc check: phi
+    keeps each line through its center C, so P, Q and phi(Q) lie on the
+    line CP.  They are distinct: the arc's points are affine, C is the only
+    affine point phi fixes and neither P nor Q is C, and phi(Q) = phi^2(P)
+    is not P, as phi^2 is the homology with center C and ratio lam^2 != 1
+    for phi's ratio lam != 1.
     """
     spec = group.spec
     k = group.order
@@ -214,8 +203,6 @@ def ghf_construct(group: AdditiveSubgroup, phi: Matrix) -> tuple[Arc, BlockingSe
         union = Arc(spec, arc.points + tuple(image))
     except ArcError as exc:
         raise BlockingError(f"union with the image is not an arc: {exc}") from exc
-    if len(union) != 2 * k:
-        raise BlockingError("image overlaps the arc")
 
     blockers = set(secant_directions(group))
     for a1, a2 in group.elements:
@@ -275,20 +262,20 @@ def is_doubled_quadrangle(arc: Arc) -> bool:
     """Whether a projectivity maps the arc onto an arc of ghf_eight for some
     valid triple: the square F = {0,1}^2 of the affine plane and lam*F + a.
 
-    Each 4-subset S is mapped onto F by pp._to_standard_frame in increasing
-    order, and the arc passes when its other four points go to lam*F + a
-    for a valid triple.  If some ordering of S does that, this one does:
-    the two maps differ by some x -> Mx + t of the frame's stabilizer, M in
-    GL(2,2) and t in F, which sends lam*F + a to lam*F + (Ma + t).  That
-    triple is valid too, since M permutes {a1, a2, a1 + a2}, and t, like
-    the choice of a within lam*F + a, adds to each coordinate an element of
-    the group {0, 1, lam, lam + 1} that those sums avoid."""
+    The arc passes when, for some 4-subset label of _subset_images, the
+    label's last four points are lam*F + a for a valid triple.  Those four
+    are the least image of the other four arc points over the 24 orderings
+    of the subset, and if the points of any ordering are lam*F + a, so are
+    the label's: the two maps differ by some x -> Mx + t of the frame's
+    stabilizer, M in GL(2,2) and t in F, which sends lam*F + a to
+    lam*F + (Ma + t).  That triple is valid too, since M permutes
+    {a1, a2, a1 + a2}, and t, like the choice of a within lam*F + a, adds
+    to each coordinate an element of the group {0, 1, lam, lam + 1} that
+    those sums avoid."""
     if len(arc) != 8:
         return False
-    spec = arc.spec
-    for subset in combinations(arc.points, 4):
-        m = pp._to_standard_frame(spec, *subset)
-        rest = sorted(pp._apply_point(spec, m, p) for p in arc.points if p not in subset)
+    for label in _subset_images(arc, _four_subsets(arc)):
+        rest = label[4:]
         if any(z != 1 for _, _, z in rest):
             continue
         (x0, y0, _), *others = rest

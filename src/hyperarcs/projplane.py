@@ -294,15 +294,15 @@ def homology(spec: FieldSpec, lam: int, a1: int, a2: int) -> Matrix:
 def center(spec: FieldSpec, mat: Matrix) -> Point:
     """Center of a central collineation with axis the line at infinity.
 
-    Rejects matrices that do not fix the line at infinity pointwise, and
-    the identity (every point is fixed, no center).
+    Rejects singular matrices, matrices that do not fix the line at
+    infinity pointwise, and the identity (every point is fixed, no center).
     """
     return _center(spec, _read_matrix(spec, mat))
 
 
 def _center(spec: FieldSpec, mat: Matrix) -> Point:
     (a, b, c), (d, e, f), (g, h, i) = mat
-    if not (b == 0 and d == 0 and g == 0 and h == 0 and a == e and i != 0):
+    if not (b == 0 and d == 0 and g == 0 and h == 0 and a == e != 0 and i != 0):
         raise GeometryError("not a central collineation with axis X3 = 0")
     exp, log = spec.exp, spec.log
     s = spec.q - 1 - log[i]

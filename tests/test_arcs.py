@@ -205,6 +205,9 @@ def test_arc_json_round_trip():
     assert again.spec == arc.spec
     with pytest.raises(ArcError):
         arc_from_json({"points": []})
+    for points in ("0x1", 5, None, {"0": [0, 0, 1]}):
+        with pytest.raises(ArcError, match="is not a list"):
+            arc_from_json({"field": GF8.to_json(), "points": points})
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,12 @@ def test_extend_double_produces_double_arc():
     g2 = extend_double(g, (a, b))
     assert g2.order == 8
     assert len(translation_arc(g2)) == 8
+
+
+def test_extend_double_refuses_a_group_whose_orbit_is_not_an_arc():
+    # {0, 1, 2, 3} x {0} lies on the line y = 0
+    with pytest.raises(ArcError, match="orbit is not an arc"):
+        extend_double(subgroup_make(GF8, [(1, 0), (2, 0)]), (4, 4))
 
 
 def test_extend_double_rejects_member():
@@ -953,6 +962,8 @@ def test_split_conic_explicit_pair_validation():
         assert len(arc) == 8
     with pytest.raises(ArcError):
         split_conic_arc(GF16, 1, 0)  # eta inside the subfield
+    with pytest.raises(ArcError, match="give both eta and b, or neither"):
+        split_conic_arc(GF16, eta=2)
 
 
 @pytest.mark.parametrize("r, valid, failing", [(2, 2, 0), (4, 24, 12), (6, 224, 168)])

@@ -15,6 +15,7 @@ from hyperarcs.arcs import (
     enumerate_arc_subgroups,
     hyperfocused_lines,
     secant_directions,
+    secants,
     subgroup_make,
     translation_arc,
 )
@@ -335,6 +336,9 @@ def test_min_blocking_sets_digest():
     for arc in population:
         sets = min_blocking_sets(arc)
         digest.update(repr([b.points for b in sets]).encode() + b"\n")
+        # one blocker per secant, rebuilt by incidence
+        for b in sets:
+            assert set(secant_blocker_map(arc, b).values()) == set(b.points)
     assert digest.hexdigest() == MIN_BLOCKING_DIGEST
 
     # the hyperoval's minimum blocking sets are its 120 external lines
@@ -361,9 +365,15 @@ def test_blocker_candidates_build_no_line_or_meet(monkeypatch):
     monkeypatch.setattr(pp, "_meet", refuse)
     monkeypatch.setattr(pp, "_line_through", refuse)
     for arc, want in cases:
-        found = _blocker_candidates(arc)
+        through = _blocker_candidates(arc)
+        assert len(through) == len(arc) - 1
+        found = dict(c for candidates in through for c in candidates)
         assert found == want
+        assert sum(map(len, through)) == len(want)
         assert not set(found) & set(arc.points)
+        # each on the secant p0 pi of its list, whose bit is its lowest
+        for i, candidates in enumerate(through):
+            assert all((m & -m).bit_length() - 1 == i for _, m in candidates)
 
 
 def secant_hits_by_incidence(arc, points):
@@ -548,6 +558,37 @@ def test_ghf_eight_rejects_explicit_bad_triple():
         ghf_eight(GF16, 2, 1, 4)
 
 
+def test_ghf_eight_refuses_a_partial_triple():
+    with pytest.raises(BlockingError, match="give all of lam, a1, a2, or none"):
+        ghf_eight(GF16, 2)
+
+
+@pytest.mark.parametrize(
+    "basis, phi, message",
+    [
+        ([(0, 1)], pp.homology(GF16, 2, 4, 8), "size at least 4"),
+        ([(0, 1), (1, 0)], pp.homology(GF16, 2, 0, 0), "homology center lies on the arc"),
+        # x -> 2x + (1, 0) sends the arc point (0, 0) to the arc point
+        # (1, 0), and (1, 0) to (3, 0) on the same line
+        ([(0, 1), (1, 0)], pp.homology(GF16, 2, 1, 0), "union with the image is not an arc"),
+    ],
+    ids=["order-2", "center-on-arc", "image-overlaps-arc"],
+)
+def test_ghf_construct_refusals(basis, phi, message):
+    with pytest.raises(BlockingError, match=message):
+        ghf_construct(subgroup_make(GF16, basis), phi)
+
+
+def test_fano_configuration_needs_seven_points_of_a_subplane():
+    arc, bset, _ = ghf_eight(GF16)
+    assert is_fano_configuration(GF16, bset.points)
+    assert not is_fano_configuration(GF16, bset.points[:6])
+    # seven points with no three collinear, and the subplane with a point
+    # swapped for one off it
+    assert not is_fano_configuration(GF16, arc.points[:7])
+    assert not is_fano_configuration(GF16, bset.points[:6] + arc.points[:1])
+
+
 @pytest.mark.parametrize("spec", [GF16, GF32], ids=lambda s: f"q{s.q}")
 def test_is_doubled_quadrangle_holds_on_ghf_eight_arcs(spec):
     # as built, and moved by a random projectivity so that the standard
@@ -597,6 +638,29 @@ def test_triangle_collinearity_linear_blocking():
     arc = quad_arc(GF4)
     bset = min_blocking_sets(arc)[0]
     assert triangle_collinearity(arc, bset)[0]
+
+
+def test_secant_blocker_map_refuses_a_blocker_on_the_arc():
+    arc, bset, _ = ghf_eight(GF16)
+    on_arc = BlockingSet(GF16, bset.points[1:] + arc.points[:1])
+    with pytest.raises(BlockingError, match="blocking set intersects the arc"):
+        secant_blocker_map(arc, on_arc)
+
+
+@pytest.mark.parametrize(
+    "function, size, message",
+    [
+        (min_blocking_sets, 3, "blocking needs at least three arc points"),
+        (secants, 2, "secants need at least two points"),
+        (hyperfocused_lines, 3, "hyperfocus needs at least three points"),
+    ],
+    ids=["min_blocking_sets", "secants", "hyperfocused_lines"],
+)
+def test_arc_functions_refuse_arcs_below_their_minimum_size(function, size, message):
+    pts = ((0, 0, 1), (0, 1, 1), (1, 0, 1))
+    with pytest.raises(ArcError, match=message):
+        function(Arc(GF8, pts[:size - 1]))
+    function(Arc(GF8, pts[:size]))
 
 
 def test_triangle_collinearity_requires_minimum():

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -491,9 +492,13 @@ def test_catalog_line_with_edge_whitespace_is_usage_error(tmp_path, capsys, spel
         f"error: bad catalog {re.escape(str(path))}: line 2: [^\n]*\n", err)
 
 
-def test_arc_complete(capsys):
-    code, report, _ = run_json(capsys, "arc", "complete", "--r", "6", "--s", "3")
+def test_arc_complete(tmp_path, capsys):
+    arc_path = tmp_path / "arc.json"
+    code, report, _ = run_json(
+        capsys, "arc", "complete", "--r", "6", "--s", "3", "--save", str(arc_path),
+    )
     assert code == 0
+    assert json.loads(arc_path.read_text()) == report["results"]["arc"]
     assert report["verdicts"]["uncovered_empty"] is True
     assert report["verdicts"]["hyperoval"] == "NOT_CONTAINED"
     assert report["verdicts"]["subplane"] == "NOT_CONTAINED"
@@ -597,6 +602,24 @@ def test_onefact_closure_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,contains_all,depth,family_size"
     assert len(lines) == 2
+
+
+def test_classify_csv_prints_the_class_rows(capsys):
+    code, report, _ = run_json(capsys, "classify", "--q", "8", "--max-k", "6")
+    assert code == 0
+    code, out, _ = run(capsys, "--format", "csv", "classify", "--q", "8", "--max-k", "6")
+    assert code == 0
+    classes = report["results"]["classification"]["classes"]
+    assert classes
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {key: str(value) for key, value in row.items()} for row in classes
+    ]
+
+
+def test_csv_of_a_report_without_rows_is_usage_error(capsys):
+    code, out, err = run(capsys, "--format", "csv", "field", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: csv format is only available for tabular reports\n"
 
 
 def test_onefact_bad_catalog_is_usage_error(tmp_path, capsys):

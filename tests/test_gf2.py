@@ -127,6 +127,9 @@ def test_degree_out_of_range():
         field_make(0)
     with pytest.raises(FieldError):
         field_make(17)
+    # X^17 + X^3 + 1, refused for its degree by the constructor itself
+    with pytest.raises(FieldError, match="degree 17 out of range"):
+        FieldSpec(17, 0x20009)
 
 
 def test_poly_degree_mismatch():
@@ -226,6 +229,8 @@ def test_inverse_of_one():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field_make(4).inv(0)
+    with pytest.raises(ZeroDivisionError):
+        field_make(4).div(1, 0)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -103,6 +103,7 @@ K4_FACTORS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
         (4.0, K4_FACTORS, "vertex count 4.0 is not an int"),
         ("4", (), "vertex count '4' is not an int"),
         (True, K4_FACTORS, "vertex count True is not an int"),
+        (3, (((1, 2),), ((1, 3),)), "vertex count 3 must be even and >= 4"),
     ],
 )
 def test_malformed_arguments_raise_factorization_error(n_vertices, factors, message):
@@ -145,6 +146,8 @@ def test_catalog_error_names_line():
 def test_catalog_bad_token():
     with pytest.raises(FactorizationError):
         parse_factorization("1-2 3-x|1-3 2-4|1-4 2-3")
+    with pytest.raises(FactorizationError, match="empty factorization"):
+        parse_factorization("")
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -684,6 +687,12 @@ def test_case1_case2_not_isomorphic():
     assert not isomorphic(CASE1, CASE2)
 
 
+def test_factorizations_of_different_orders_are_not_isomorphic():
+    k4 = OneFactorization(4, K4_FACTORS)
+    assert not isomorphic(K6, k4)
+    assert not isomorphic(k4, K6)
+
+
 def test_canonical_form_idempotent():
     form = canonical_form(CASE2)
     again = canonical_form(OneFactorization(8, form))
@@ -1159,6 +1168,24 @@ def test_validate_rejects_focus_off_its_factor():
     moved = Embedding(spec, CASE1, emb.vertices, (off,) + emb.foci[1:])
     with pytest.raises(FactorizationError, match="focus of factor 1 misses edge"):
         moved.validate()
+
+
+@pytest.mark.parametrize("change, message", [
+    ("repeated-vertex", "vertex images not distinct"),
+    ("repeated-focus", "focus images not distinct"),
+    ("focus-on-vertex", "a focus image collides with a vertex image"),
+])
+def test_validate_refuses_repeated_images(change, message):
+    spec = field_make(3)
+    emb = embed_search(CASE1, spec, limit=1)[0][0]
+    v, f = emb.vertices, emb.foci
+    vertices, foci = {
+        "repeated-vertex": (v[:1] + v[:1] + v[2:], f),
+        "repeated-focus": (v, f[:1] + f[:1] + f[2:]),
+        "focus-on-vertex": (v, v[:1] + f[1:]),
+    }[change]
+    with pytest.raises(FactorizationError, match=message):
+        Embedding(spec, CASE1, vertices, foci).validate()
 
 
 @pytest.mark.parametrize("name, value", [

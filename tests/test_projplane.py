@@ -1,6 +1,8 @@
 import inspect
 import random
+import types
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,12 @@ def test_line_through_example():
 def test_line_through_repeated_point_rejected():
     with pytest.raises(pp.GeometryError):
         pp.line_through(GF8, (1, 1, 1), (1, 1, 1))
+
+
+def test_meet_of_a_repeated_line_rejected():
+    # (2, 2, 2) is a multiple of (1, 1, 1)
+    with pytest.raises(pp.GeometryError, match="no unique meet of a repeated line"):
+        pp.meet(GF8, (1, 1, 1), (2, 2, 2))
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "3", True, False], ids=repr)
@@ -400,6 +408,9 @@ def test_center_of_noncentral_map_rejected():
     swap = pp.matrix_make(GF8, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     with pytest.raises(pp.GeometryError):
         pp.center(GF8, swap)
+    # the lam = 0 form of a homology is singular, no collineation
+    with pytest.raises(pp.GeometryError, match="not a central collineation"):
+        pp.center(GF8, ((0, 0, 3), (0, 0, 5), (0, 0, 1)))
 
 
 def test_center_of_homology_composed_with_elation():
@@ -472,6 +483,32 @@ def test_frame_map_refuses_a_non_frame(frame, message):
             pp.frame_map(GF8, sources, targets)
 
 
+def functions_naming(name: str) -> set[str]:
+    """The library's functions, nested ones included, whose code objects
+    name `name` (as a global, an attribute or a method), each as
+    module.qualified_name, from the compiled sources."""
+    found = set()
+    for path in sorted(Path(pp.__file__).parent.glob("*.py")):
+        module = compile(path.read_text(), str(path), "exec")
+        stack = [(path.stem, c) for c in module.co_consts if isinstance(c, types.CodeType)]
+        while stack:
+            prefix, code = stack.pop()
+            qualified = f"{prefix}.{code.co_name}"
+            if name in code.co_names:
+                found.add(qualified)
+            stack += [(qualified, c) for c in code.co_consts if isinstance(c, types.CodeType)]
+    return found
+
+
+def test_one_projective_frame_routine():
+    # every map onto the standard frame is built by frame_map or by the
+    # 4-subset labels that canonical forms, projective equivalence and the
+    # doubled-quadrangle test read
+    assert functions_naming("_to_standard_frame") == {
+        "projplane.frame_map", "blocking._subset_images"
+    }
+
+
 def test_frame_map_recovers_homology():
     lam, a1, a2 = 6, 2, 4
     phi = pp.homology(GF8, lam, a1, a2)
@@ -506,6 +543,8 @@ def test_compose_and_inverse():
 def test_matrix_make_rejects_singular():
     with pytest.raises(pp.GeometryError):
         pp.matrix_make(GF4, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    with pytest.raises(pp.GeometryError, match="singular matrix"):
+        pp.inverse(GF4, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
 
 
 def test_point_json_round_trip():
